@@ -8,8 +8,10 @@
 // aggregates) and, in coarse_to_fine mode, warm-starts Gauss-Newton from
 // the previous flush's fit while scanning the exponent grid coarse-first.
 //
-// Sweep: samples-per-batch x batches x exponent-grid size. For each point
-// we report the per-walk wall time of
+// Sweep: samples-per-batch x batches x exponent-grid size, plus one walk
+// that crosses three environment segments (one Gamma each, Table 1's
+// blocked environments) so the multi-segment path is timed and identity-
+// checked too. For each point we report the per-walk wall time of
 //   naive   — cold LocationSolver::solve over the accumulated samples in
 //             KernelMode::scalar_reference (the AoS scalar twins — the
 //             pre-lane-kernel implementation),
@@ -50,7 +52,12 @@ struct SweepPoint {
     int per_batch;
     int batches;
     double exponent_step;  // grid resolution: points ~ 4.8 / step
+    int segments{1};       // environment segments the walk crosses, in thirds
 };
+
+/// Insertion loss (dB) per environment segment of a multi-segment walk:
+/// open, then blocked (a Table 1 NLoS environment), then partly open.
+constexpr double kSegmentLossDb[] = {0.0, 8.0, 3.0};
 
 /// Noisy L-walk RSS stream split into per-flush batches.
 std::vector<std::vector<FusedSample>> make_batches(const SweepPoint& pt,
@@ -72,9 +79,10 @@ std::vector<std::vector<FusedSample>> make_batches(const SweepPoint& pt,
         s.t = 0.1 * i;
         s.p = -obs.x;
         s.q = -obs.y;
+        s.segment = i * pt.segments / total;
         const double l = locble::Vec2::distance(target, obs);
         s.rssi = -59.0 - 10.0 * 2.1 * std::log10(std::max(l, 0.1)) +
-                 rng.gaussian(0.0, 3.0);
+                 rng.gaussian(0.0, 3.0) - kSegmentLossDb[s.segment];
         out[i / pt.per_batch].push_back(s);
     }
     return out;
@@ -268,12 +276,15 @@ int main(int argc, char** argv) {
         {"medium", 16, 8, 0.05},
         {"large", 24, 12, 0.05},
         {"xlarge", 24, 24, 0.025},
+        // A walk across three environments (one Gamma each): the
+        // run-blocked multi-segment kernel path.
+        {"multiseg", 24, 12, 0.05, 3},
     };
     const int trials = runner.trials_or(5);
 
     TextTable table({"point", "samples", "grid", "naive us", "incr us", "coarse us",
                      "x incr", "x coarse"});
-    const char* largest_key = sweep[std::size(sweep) - 1].key;
+    const char* largest_key = "xlarge";
 
     for (std::size_t i = 0; i < std::size(sweep); ++i) {
         const auto& pt = sweep[i];
@@ -316,6 +327,7 @@ int main(int argc, char** argv) {
         runner.report().add_scalar(k + ".samples", pt.per_batch * pt.batches);
         runner.report().add_scalar(k + ".grid_points", grid);
         runner.report().add_scalar(k + ".batches", pt.batches);
+        runner.report().add_scalar(k + ".segments", pt.segments);
         runner.report().add_scalar(k + ".naive_us", naive.us);
         runner.report().add_scalar(k + ".incremental_us", incr.us);
         runner.report().add_scalar(k + ".coarse_us", coarse.us);

@@ -17,20 +17,23 @@ constexpr double kLog10 = 2.302585092994046;
 using KernelMode = LocationSolver::Config::KernelMode;
 constexpr std::size_t kW = kernels::kLaneWidth;
 
-/// Bundled structure-of-arrays view of the packed sample stream plus the
-/// configured kernel mode — what the k == 1 hot paths dispatch on. The
-/// pointers alias SolverWorkspace::soa_* (packed in solve_impl) and are
-/// valid for the same count as the AoS span.
-struct SoaView {
+/// The sample stream as the kernels see it: the packed structure-of-arrays
+/// mirror (lanes mode), the AoS span (scalar_reference mode), and the
+/// segment runs tiling both. The pointers alias SolverWorkspace storage
+/// packed in solve_impl and cover the same `count` samples.
+struct SampleView {
+    const FusedSample* samples;
     const double* p;
     const double* q;
     const double* rssi;
+    const SegmentRun* runs;
+    std::size_t run_count;
+    std::size_t count;
     KernelMode mode;
 };
 
 /// Assemble ResidualStats from the kernel outputs (sum / sum-of-squares /
-/// centered second moment) — shared by both kernel modes and the generic
-/// multi-segment path.
+/// centered second moment).
 ResidualStats residual_stats_from_moments(std::size_t count, double sum, double ss,
                                           double m2) {
     ResidualStats out;
@@ -42,52 +45,40 @@ ResidualStats residual_stats_from_moments(std::size_t count, double sum, double 
     return out;
 }
 
-/// Residual statistics with per-segment gammas. One prediction pass over
-/// the samples (residuals parked in `resid_buf`, sized >= count by the
-/// caller) plus one cheap pass for the centered second moment — no
-/// temporary vector, no allocation. The single-segment case runs through
-/// the lane kernels (or their scalar-reference twins — bit-identical by
-/// the solver_kernels.hpp contract).
-ResidualStats residual_stats_kernel(const FusedSample* samples, std::size_t count,
-                                    const locble::Vec2& location, double exponent,
-                                    const double* gammas, int k, double* resid_buf,
-                                    const SoaView& soa) {
-    ResidualStats out;
-    if (count == 0) return out;
+// Every sweep below visits the segment runs in stream order, calls one lane
+// kernel (or its scalar-reference twin) per run against that run's Gamma,
+// and folds the per-run sums in that fixed order. Lane accumulators start
+// at +0.0, so a reduced sum is never -0.0 and `0.0 + a == a` exactly: a
+// single-run (k == 1) walk gets the kernel's sums unchanged.
+
+/// Residual statistics with per-segment gammas. One prediction pass per run
+/// (residuals parked in `resid_buf`, sized >= count by the caller) plus one
+/// pass for the centered second moment — no allocation.
+ResidualStats residual_stats_kernel(const SampleView& v, const locble::Vec2& location,
+                                    double exponent, const double* gammas,
+                                    double* resid_buf) {
+    if (v.count == 0) return {};
     double sum = 0.0, ss = 0.0;
-    if (k == 1) {
-        double m2;
-        if (soa.mode == KernelMode::lanes) {
-            kernels::residual2_lanes<kW>(soa.p, soa.q, soa.rssi, count, location.x,
-                                         location.y, gammas[0], exponent, resid_buf,
-                                         sum, ss);
-            m2 = kernels::centered_m2_lanes<kW>(resid_buf, count,
-                                                sum / static_cast<double>(count));
-        } else {
-            kernels::residual2_ref(samples, count, location.x, location.y,
-                                   gammas[0], exponent, resid_buf, sum, ss);
-            m2 = kernels::centered_m2_ref(resid_buf, count,
-                                          sum / static_cast<double>(count));
-        }
-        return residual_stats_from_moments(count, sum, ss, m2);
+    for (std::size_t r = 0; r < v.run_count; ++r) {
+        const SegmentRun& run = v.runs[r];
+        const std::size_t b = run.begin;
+        const double g = gammas[run.seg];
+        double rs, rss;
+        if (v.mode == KernelMode::lanes)
+            kernels::residual2_lanes<kW>(v.p + b, v.q + b, v.rssi + b, run.len,
+                                         location.x, location.y, g, exponent,
+                                         resid_buf + b, rs, rss);
+        else
+            kernels::residual2_ref(v.samples + b, run.len, location.x, location.y, g,
+                                   exponent, resid_buf + b, rs, rss);
+        sum += rs;
+        ss += rss;
     }
-    for (std::size_t i = 0; i < count; ++i) {
-        const auto& s = samples[i];
-        const double dx = location.x + s.p;
-        const double dy = location.y + s.q;
-        const double g = gammas[static_cast<std::size_t>(std::min(s.segment, k - 1))];
-        const double r = s.rssi - predict_rssi_db(g, exponent, dx * dx + dy * dy);
-        resid_buf[i] = r;
-        sum += r;
-        ss += r * r;
-    }
-    const double mean = sum / static_cast<double>(count);
-    double m2 = 0.0;
-    for (std::size_t i = 0; i < count; ++i) {
-        const double d = resid_buf[i] - mean;
-        m2 += d * d;
-    }
-    return residual_stats_from_moments(count, sum, ss, m2);
+    const double mean = sum / static_cast<double>(v.count);
+    const double m2 = v.mode == KernelMode::lanes
+                          ? kernels::centered_m2_lanes<kW>(resid_buf, v.count, mean)
+                          : kernels::centered_m2_ref(resid_buf, v.count, mean);
+    return residual_stats_from_moments(v.count, sum, ss, m2);
 }
 
 /// Gauss-Newton refinement of (x, h, Gamma_1..Gamma_k) at fixed exponent,
@@ -96,92 +87,52 @@ ResidualStats residual_stats_kernel(const FusedSample* samples, std::size_t coun
 /// (the paper's Gamma(e)). Gammas are projected into [gamma_min, gamma_max]
 /// each step.
 ///
-/// Allocation-free: the jacobian row has exactly three nonzeros (d/dx,
-/// d/dh and the sample's segment gamma), so JtJ/Jtr are accumulated in one
-/// fused sparse pass into flat workspace storage (jtj is dim*dim, jtr and
-/// delta are dim, caller-sized); the normal system is solved in place with
+/// Allocation-free: a sample's jacobian row has exactly three nonzeros
+/// (d/dx, d/dh and its segment's Gamma), so each run's lane-kernel sums
+/// land in the shared x/h rows plus that segment's Gamma row of the flat
+/// workspace JtJ/Jtr (jtj is dim*dim, jtr and delta are dim,
+/// caller-sized); the normal system is solved in place with
 /// solve_linear_flat.
-void refine_fit_db(double* jtj, double* jtr, double* delta,
-                   const FusedSample* samples, std::size_t count, double exponent,
-                   locble::Vec2& location, double* gammas, std::size_t k,
-                   double gamma_min, double gamma_max, const SoaView& soa) {
+void refine_fit_db(double* jtj, double* jtr, double* delta, const SampleView& v,
+                   double exponent, locble::Vec2& location, double* gammas,
+                   std::size_t k, double gamma_min, double gamma_max) {
     constexpr int kIterations = 12;
     const std::size_t dim = 2 + k;
+    const double c = -10.0 * exponent / kLog10;
     double x = location.x, h = location.y;
-
-    if (k == 1) {
-        // Single-segment fast path (the common case: dim == 3). The
-        // normal-equation accumulation runs in the SoA lane kernel — the
-        // vectorized sweep this PR exists for — or its AoS scalar-reference
-        // twin; both produce bit-identical sums by the lane contract.
-        const double c = -10.0 * exponent / kLog10;
-        double gamma = gammas[0];
-        for (int it = 0; it < kIterations; ++it) {
-            kernels::GnSums2 sums;
-            if (soa.mode == KernelMode::lanes)
-                kernels::gn2_lanes<kW>(soa.p, soa.q, soa.rssi, count, x, h, gamma,
-                                       exponent, c, sums);
-            else
-                kernels::gn2_ref(samples, count, x, h, gamma, exponent, c, sums);
-            const double damping = 1e-6 + (it < 3 ? 0.1 : 0.0);
-            jtj[0] = sums.a00 * (1.0 + damping) + 1e-9;
-            jtj[1] = sums.a01;
-            jtj[2] = sums.a02;
-            jtj[3] = sums.a01;
-            jtj[4] = sums.a11 * (1.0 + damping) + 1e-9;
-            jtj[5] = sums.a12;
-            jtj[6] = sums.a02;
-            jtj[7] = sums.a12;
-            jtj[8] = sums.a22 * (1.0 + damping) + 1e-9;
-            jtr[0] = sums.r0;
-            jtr[1] = sums.r1;
-            jtr[2] = sums.r2;
-            if (!locble::solve_linear_flat(jtj, jtr, delta, 3)) break;
-            x += delta[0];
-            h += delta[1];
-            double step = std::abs(delta[0]) + std::abs(delta[1]);
-            gamma = std::clamp(gamma + delta[2], gamma_min, gamma_max);
-            step += std::abs(delta[2]);
-            if (step < 1e-6) break;
-        }
-        gammas[0] = gamma;
-        location = {x, h};
-        return;
-    }
-
-    for (int it = 0; it < kIterations; ++it) {
+    int sweeps = 0;
+    while (sweeps < kIterations) {
         std::fill_n(jtj, dim * dim, 0.0);
         std::fill_n(jtr, dim, 0.0);
-        const double c = -10.0 * exponent / kLog10;  // loop-invariant
-        for (std::size_t i = 0; i < count; ++i) {
-            const auto& s = samples[i];
-            const double dx = x + s.p;
-            const double dy = h + s.q;
-            const double l2 = std::max(dx * dx + dy * dy, kMinDistanceSq);
-            const auto seg = static_cast<std::size_t>(
-                std::min<int>(s.segment, static_cast<int>(k) - 1));
-            const double pred = predict_rssi_db(gammas[seg], exponent, l2);
-            const double r = s.rssi - pred;
-            const double jx = c * dx / l2;
-            const double jy = c * dy / l2;
-            // Fused sparse JtJ/Jtr accumulation (upper triangle; mirrored
-            // once after the pass).
-            jtr[0] += jx * r;
-            jtr[1] += jy * r;
-            jtr[2 + seg] += 1.0 * r;
-            jtj[0 * dim + 0] += jx * jx;
-            jtj[0 * dim + 1] += jx * jy;
-            jtj[0 * dim + (2 + seg)] += jx * 1.0;
-            jtj[1 * dim + 1] += jy * jy;
-            jtj[1 * dim + (2 + seg)] += jy * 1.0;
-            jtj[(2 + seg) * dim + (2 + seg)] += 1.0 * 1.0;
+        for (std::size_t r = 0; r < v.run_count; ++r) {
+            const SegmentRun& run = v.runs[r];
+            const std::size_t b = run.begin;
+            const std::size_t g = 2 + static_cast<std::size_t>(run.seg);
+            kernels::GnSums2 sums;
+            if (v.mode == KernelMode::lanes)
+                kernels::gn2_lanes<kW>(v.p + b, v.q + b, v.rssi + b, run.len, x, h,
+                                       gammas[run.seg], exponent, c, sums);
+            else
+                kernels::gn2_ref(v.samples + b, run.len, x, h, gammas[run.seg],
+                                 exponent, c, sums);
+            // Upper triangle; mirrored once after the sweep.
+            jtj[0] += sums.a00;
+            jtj[1] += sums.a01;
+            jtj[g] += sums.a02;
+            jtj[dim + 1] += sums.a11;
+            jtj[dim + g] += sums.a12;
+            jtj[g * dim + g] += sums.a22;
+            jtr[0] += sums.r0;
+            jtr[1] += sums.r1;
+            jtr[g] += sums.r2;
         }
         for (std::size_t a = 0; a < dim; ++a)
             for (std::size_t b = 0; b < a; ++b) jtj[a * dim + b] = jtj[b * dim + a];
 
         // Levenberg damping keeps early steps conservative; a small ridge
-        // also guards segments with very few samples.
-        const double damping = 1e-6 + (it < 3 ? 0.1 : 0.0);
+        // also guards segments with very few (or no) samples.
+        const double damping = 1e-6 + (sweeps < 3 ? 0.1 : 0.0);
+        ++sweeps;
         for (std::size_t a = 0; a < dim; ++a)
             jtj[a * dim + a] = jtj[a * dim + a] * (1.0 + damping) + 1e-9;
 
@@ -195,6 +146,7 @@ void refine_fit_db(double* jtj, double* jtr, double* delta,
         }
         if (step < 1e-6) break;
     }
+    LOCBLE_COUNT("solver.gn_iterations", sweeps);
     location = {x, h};
 }
 
@@ -202,36 +154,27 @@ void refine_fit_db(double* jtj, double* jtr, double* delta,
 /// offset is the mean residual of its samples under the seed parameters.
 /// Writes k gammas into `gammas`; `sum`/`cnt` are caller-provided scratch
 /// of k entries each.
-void init_segment_gammas(double* sum, int* cnt, const FusedSample* samples,
-                         std::size_t count, const locble::Vec2& location,
-                         double exponent, double gamma_seed, int k, double gamma_min,
-                         double gamma_max, double* gammas, const SoaView& soa) {
-    if (k == 1) {  // lane-kernel twin of the loop below
-        const double s0 =
-            soa.mode == KernelMode::lanes
-                ? kernels::seed_sum_lanes<kW>(soa.p, soa.q, soa.rssi, count,
+void init_segment_gammas(double* sum, std::size_t* cnt, const SampleView& v,
+                         const locble::Vec2& location, double exponent,
+                         double gamma_seed, std::size_t k, double gamma_min,
+                         double gamma_max, double* gammas) {
+    std::fill_n(sum, k, 0.0);
+    std::fill_n(cnt, k, std::size_t{0});
+    for (std::size_t r = 0; r < v.run_count; ++r) {
+        const SegmentRun& run = v.runs[r];
+        const std::size_t b = run.begin;
+        sum[run.seg] +=
+            v.mode == KernelMode::lanes
+                ? kernels::seed_sum_lanes<kW>(v.p + b, v.q + b, v.rssi + b, run.len,
                                               location.x, location.y, gamma_seed,
                                               exponent)
-                : kernels::seed_sum_ref(samples, count, location.x, location.y,
-                                        gamma_seed, exponent);
-        double g = gamma_seed;
-        if (count > 0) g += s0 / static_cast<double>(count);
-        gammas[0] = std::clamp(g, gamma_min, gamma_max);
-        return;
+                : kernels::seed_sum_ref(v.samples + b, run.len, location.x,
+                                        location.y, gamma_seed, exponent);
+        cnt[run.seg] += run.len;
     }
-    std::fill_n(sum, k, 0.0);
-    std::fill_n(cnt, k, 0);
-    for (std::size_t i = 0; i < count; ++i) {
-        const auto& s = samples[i];
-        const int seg = std::min(s.segment, k - 1);
-        const double dx = location.x + s.p;
-        const double dy = location.y + s.q;
-        sum[seg] += s.rssi - predict_rssi_db(gamma_seed, exponent, dx * dx + dy * dy);
-        cnt[seg] += 1;
-    }
-    for (int s = 0; s < k; ++s) {
+    for (std::size_t s = 0; s < k; ++s) {
         gammas[s] = gamma_seed;
-        if (cnt[s] > 0) gammas[s] += sum[s] / cnt[s];
+        if (cnt[s] > 0) gammas[s] += sum[s] / static_cast<double>(cnt[s]);
         gammas[s] = std::clamp(gammas[s], gamma_min, gamma_max);
     }
 }
@@ -246,10 +189,11 @@ ResidualStats residual_stats(const std::vector<FusedSample>& samples,
     // No packed SoA mirror here; the scalar-reference twin reads the AoS
     // span directly and is bit-identical to the lane kernels the solver's
     // internal scoring uses — so stats computed here EXPECT_EQ-match the
-    // solver's reported residual_db.
-    const SoaView soa{nullptr, nullptr, nullptr, KernelMode::scalar_reference};
-    return residual_stats_kernel(samples.data(), samples.size(), location, exponent,
-                                 gammas, 1, resid.data(), soa);
+    // solver's reported residual_db for a single-segment fit.
+    const SegmentRun all{0, samples.size(), 0};
+    const SampleView v{samples.data(), nullptr, nullptr, nullptr, &all, 1,
+                       samples.size(), KernelMode::scalar_reference};
+    return residual_stats_kernel(v, location, exponent, gammas, resid.data());
 }
 
 std::pair<double, double> exponent_band_for(channel::PropagationClass cls) {
@@ -265,19 +209,19 @@ bool LocationSolver::evaluate_grid_point(SolverWorkspace& ws,
                                          SolverWorkspace::GridPoint& gp,
                                          const FusedSample* samples, std::size_t count,
                                          bool lateral_ok, double gamma_min,
-                                         double gamma_max, int k, double mean_rssi,
+                                         double gamma_max, std::size_t k, double mean_rssi,
                                          bool warm,
                                          SolverWorkspace::CandidateSlot& slot) const {
     const double exponent = gp.n;
-    const std::size_t uk = static_cast<std::size_t>(k);
-    const SoaView soa{ws.soa_p.data(), ws.soa_q.data(), ws.soa_rssi.data(),
-                      cfg_.kernel_mode};
+    const SampleView v{samples,          ws.soa_p.data(), ws.soa_q.data(),
+                       ws.soa_rssi.data(), ws.runs.data(),  ws.runs.size(),
+                       count,            cfg_.kernel_mode};
 
     // Plausibility screen: discard non-physical attempts so a noise-
     // favoured exponent cannot launch the target outside radio range.
     const auto plausible = [&](const locble::Vec2& loc, const double* gammas) {
         if (loc.norm() > cfg_.max_range_m) return false;
-        for (std::size_t s = 0; s < uk; ++s)
+        for (std::size_t s = 0; s < k; ++s)
             if (gammas[s] < gamma_min - 1e-9 || gammas[s] > gamma_max + 1e-9)
                 return false;
         return true;
@@ -288,22 +232,19 @@ bool LocationSolver::evaluate_grid_point(SolverWorkspace& ws,
     locble::Vec2 best_loc;
     ResidualStats best_stats;
     const auto consider = [&](locble::Vec2 loc, double gamma_seed) {
-        init_segment_gammas(ws.gam_sum.data(), ws.gam_cnt.data(), samples, count, loc,
-                            exponent, gamma_seed, k, gamma_min, gamma_max,
-                            ws.gam_cur.data(), soa);
+        init_segment_gammas(ws.gam_sum.data(), ws.gam_cnt.data(), v, loc, exponent,
+                            gamma_seed, k, gamma_min, gamma_max, ws.gam_cur.data());
         if (cfg_.use_gn_refinement)
-            refine_fit_db(ws.jtj.data(), ws.jtr.data(), ws.delta.data(), samples,
-                          count, exponent, loc, ws.gam_cur.data(), uk, gamma_min,
-                          gamma_max, soa);
+            refine_fit_db(ws.jtj.data(), ws.jtr.data(), ws.delta.data(), v, exponent,
+                          loc, ws.gam_cur.data(), k, gamma_min, gamma_max);
         if (!plausible(loc, ws.gam_cur.data())) return;
-        const ResidualStats st =
-            residual_stats_kernel(samples, count, loc, exponent, ws.gam_cur.data(),
-                                  k, ws.resid.data(), soa);
+        const ResidualStats st = residual_stats_kernel(v, loc, exponent,
+                                                       ws.gam_cur.data(), ws.resid.data());
         if (st.rms_db < best_rms) {
             best_rms = st.rms_db;
             best_loc = loc;
             best_stats = st;
-            std::copy_n(ws.gam_cur.data(), uk, ws.gam_best.data());
+            std::copy_n(ws.gam_cur.data(), k, ws.gam_best.data());
         }
     };
 
@@ -315,24 +256,21 @@ bool LocationSolver::evaluate_grid_point(SolverWorkspace& ws,
         // environment segments appeared since.
         locble::Vec2 loc = gp.warm_loc;
         const std::size_t have = gp.warm_gammas.size();
-        for (std::size_t s = 0; s < uk; ++s) {
+        for (std::size_t s = 0; s < k; ++s) {
             const double g = s < have ? gp.warm_gammas[s]
                                       : (have > 0 ? gp.warm_gammas[have - 1]
                                                   : 0.5 * (gamma_min + gamma_max));
             ws.gam_cur[s] = std::clamp(g, gamma_min, gamma_max);
         }
         if (cfg_.use_gn_refinement)
-            refine_fit_db(ws.jtj.data(), ws.jtr.data(), ws.delta.data(), samples,
-                          count, exponent, loc, ws.gam_cur.data(), uk, gamma_min,
-                          gamma_max, soa);
+            refine_fit_db(ws.jtj.data(), ws.jtr.data(), ws.delta.data(), v, exponent,
+                          loc, ws.gam_cur.data(), k, gamma_min, gamma_max);
         if (!plausible(loc, ws.gam_cur.data())) return false;
-        const ResidualStats st =
-            residual_stats_kernel(samples, count, loc, exponent, ws.gam_cur.data(),
-                                  k, ws.resid.data(), soa);
-        best_rms = st.rms_db;
+        best_stats = residual_stats_kernel(v, loc, exponent, ws.gam_cur.data(),
+                                           ws.resid.data());
+        best_rms = best_stats.rms_db;
         best_loc = loc;
-        best_stats = st;
-        std::copy_n(ws.gam_cur.data(), uk, ws.gam_best.data());
+        std::copy_n(ws.gam_cur.data(), k, ws.gam_best.data());
     } else {
         // --- Catch up this grid point's cached rho powers (the only
         // exponent-dependent per-sample quantity) on samples added since
@@ -468,8 +406,8 @@ bool LocationSolver::evaluate_grid_point(SolverWorkspace& ws,
     const ResidualStats stats =
         slot.loc.y == best_loc.y
             ? best_stats
-            : residual_stats_kernel(samples, count, slot.loc, exponent,
-                                    ws.gam_best.data(), k, ws.resid.data(), soa);
+            : residual_stats_kernel(v, slot.loc, exponent, ws.gam_best.data(),
+                                    ws.resid.data());
     slot.score = stats.rms_db;
     slot.residual_db = stats.rms_db;
     slot.confidence = stats.confidence;
@@ -556,32 +494,49 @@ bool LocationSolver::solve_impl(const FusedSample* samples, std::size_t count,
     // Fold samples added since the previous solve into the running
     // aggregates (same left-to-right folds a cold start performs, so the
     // values are bit-identical either way).
-    if (ws.agg_count == 0 && count > 0) ws.q_min = ws.q_max = samples[0].q;
+    if (ws.agg_count == 0 && count > 0) {
+        ws.q_min = ws.q_max = samples[0].q;
+        ws.seg_lo = ws.seg_hi = samples[0].segment;
+    }
     if (ws.agg_count < count)
         LOCBLE_COUNT("solver.samples_folded", count - ws.agg_count);
-    // Pack the structure-of-arrays mirror alongside the aggregate fold:
-    // the lane kernels (solver_kernels.hpp) stream these contiguous
-    // arrays. Append-only like every other per-sample aggregate.
+    // Pack the structure-of-arrays mirror and the segment runs alongside
+    // the aggregate fold: the lane kernels (solver_kernels.hpp) stream the
+    // contiguous arrays one run at a time. Append-only like every other
+    // per-sample aggregate.
     ws.ensure_size(ws.soa_p, count);
     ws.ensure_size(ws.soa_q, count);
     ws.ensure_size(ws.soa_rssi, count);
-    ws.ensure_size(ws.soa_seg, count);
     for (std::size_t i = ws.agg_count; i < count; ++i) {
         const auto& s = samples[i];
-        ws.seg_k = std::max(ws.seg_k, s.segment + 1);
+        ws.seg_lo = std::min(ws.seg_lo, s.segment);
+        ws.seg_hi = std::max(ws.seg_hi, s.segment);
+        if (!ws.runs.empty() && ws.runs.back().seg == s.segment) {
+            ++ws.runs.back().len;
+        } else {
+            if (ws.runs.size() == ws.runs.capacity()) ++ws.grow_events_;
+            ws.runs.push_back({i, 1, s.segment});
+        }
         ws.q_min = std::min(ws.q_min, s.q);
         ws.q_max = std::max(ws.q_max, s.q);
         ws.rssi_sum += s.rssi;
         ws.soa_p[i] = s.p;
         ws.soa_q[i] = s.q;
         ws.soa_rssi[i] = s.rssi;
-        ws.soa_seg[i] = s.segment;
     }
     ws.agg_count = count;
 
+    // Segment tags index the per-segment Gammas: a negative tag would index
+    // before them, and a tag >= count would size the normal equations
+    // beyond anything the samples can constrain.
+    if (ws.seg_lo < 0 || static_cast<std::size_t>(ws.seg_hi) >= count) {
+        LOCBLE_COUNT("solver.invalid_segments", 1);
+        return false;
+    }
+
     // Is there usable lateral (q) excitation, or is the walk effectively 1-D?
     const bool lateral_ok = (ws.q_max - ws.q_min) >= cfg_.min_lateral_spread;
-    const int k = ws.seg_k;
+    const std::size_t k = static_cast<std::size_t>(ws.seg_hi) + 1;
     const double mean_rssi = ws.rssi_sum / static_cast<double>(count);
 
     double n_min = cfg_.exponent_min;
@@ -608,15 +563,15 @@ bool LocationSolver::solve_impl(const FusedSample* samples, std::size_t count,
     const std::size_t grid_size = ws.grid.size();
 
     // Size the flat scratch once per solve (no-ops after warm-up).
-    const std::size_t dim = 2 + static_cast<std::size_t>(k);
+    const std::size_t dim = 2 + k;
     ws.ensure_size(ws.jtj, dim * dim);
     ws.ensure_size(ws.jtr, dim);
     ws.ensure_size(ws.delta, dim);
-    ws.ensure_size(ws.gam_cur, static_cast<std::size_t>(k));
-    ws.ensure_size(ws.gam_best, static_cast<std::size_t>(k));
-    ws.ensure_size(ws.gam_sum, static_cast<std::size_t>(k));
-    ws.ensure_size(ws.gam_cnt, static_cast<std::size_t>(k));
-    ws.ensure_size(ws.best_gammas, static_cast<std::size_t>(k));
+    ws.ensure_size(ws.gam_cur, k);
+    ws.ensure_size(ws.gam_best, k);
+    ws.ensure_size(ws.gam_sum, k);
+    ws.ensure_size(ws.gam_cnt, k);
+    ws.ensure_size(ws.best_gammas, k);
     ws.ensure_size(ws.resid, count);
     ws.ensure_size(ws.evaluated, grid_size);
     std::fill(ws.evaluated.begin(), ws.evaluated.end(), std::uint8_t{0});
@@ -653,9 +608,8 @@ bool LocationSolver::solve_impl(const FusedSample* samples, std::size_t count,
             gp.has_fit = ok;
             if (ok) {
                 gp.warm_loc = slot.raw_loc;
-                ws.ensure_size(gp.warm_gammas, static_cast<std::size_t>(k));
-                std::copy_n(ws.gam_best.data(), static_cast<std::size_t>(k),
-                            gp.warm_gammas.data());
+                ws.ensure_size(gp.warm_gammas, k);
+                std::copy_n(ws.gam_best.data(), k, gp.warm_gammas.data());
             }
         }
         if (!ok) {
@@ -668,8 +622,7 @@ bool LocationSolver::solve_impl(const FusedSample* samples, std::size_t count,
         if (slot.score < best_score) {
             best_score = slot.score;
             best_idx = static_cast<int>(ws.candidates.size()) - 1;
-            std::copy_n(ws.gam_best.data(), static_cast<std::size_t>(k),
-                        ws.best_gammas.data());
+            std::copy_n(ws.gam_best.data(), k, ws.best_gammas.data());
         }
     };
 
@@ -718,9 +671,8 @@ bool LocationSolver::solve_impl(const FusedSample* samples, std::size_t count,
 
     out.location = best.loc;
     out.exponent = best.exponent;
-    out.segment_gammas.resize(static_cast<std::size_t>(k));
-    std::copy_n(ws.best_gammas.data(), static_cast<std::size_t>(k),
-                out.segment_gammas.data());
+    out.segment_gammas.resize(k);
+    std::copy_n(ws.best_gammas.data(), k, out.segment_gammas.data());
     out.gamma_dbm = out.segment_gammas.back();
     out.residual_db = best.residual_db;
     out.confidence = best.confidence;
@@ -744,10 +696,11 @@ bool LocationSolver::solve_impl(const FusedSample* samples, std::size_t count,
     if (weight_acc > 0.0) {
         out.location = loc_acc / weight_acc;
         out.exponent = n_acc / weight_acc;
+        const SampleView v{samples,          ws.soa_p.data(), ws.soa_q.data(),
+                           ws.soa_rssi.data(), ws.runs.data(),  ws.runs.size(),
+                           count,            cfg_.kernel_mode};
         const ResidualStats stats = residual_stats_kernel(
-            samples, count, out.location, out.exponent, ws.best_gammas.data(), k,
-            ws.resid.data(), SoaView{ws.soa_p.data(), ws.soa_q.data(),
-                                     ws.soa_rssi.data(), cfg_.kernel_mode});
+            v, out.location, out.exponent, ws.best_gammas.data(), ws.resid.data());
         out.residual_db = stats.rms_db;
         out.confidence = stats.confidence;
     }

@@ -25,24 +25,15 @@ struct FusedSample {
     /// The paper's model RS = Gamma(e) - 10 n(e) log10(l) has environment-
     /// dependent parameters; the solver shares (x, h) across segments and
     /// fits one Gamma per segment, which absorbs blockage insertion loss.
+    /// Tags index the fit's segment_gammas, so a solve requires every tag
+    /// in [0, sample count); any other tag yields no fit.
     int segment{0};
 };
 
-/// The 0.1 m distance floor of the dB model, expressed on the squared
-/// distance both hot callers already have.
+/// The 0.1 m distance floor of the dB model (Eq. 1, RS = Gamma -
+/// 5 n log10(l^2)), expressed on the squared distance the kernels
+/// (solver_kernels.hpp) clamp before taking the log.
 inline constexpr double kMinDistanceSq = 0.01;
-
-/// The paper's Eq. 1 path-loss model in the dB domain, evaluated on the
-/// *squared* target-observer distance: Gamma - 5 n log10(max(l^2, 0.01)).
-/// This is the single definition shared by RSS prediction, residual
-/// scoring and the Gauss-Newton refinement. The log10 is the kernels'
-/// deterministic, branchless implementation (bit-identical across ISAs,
-/// ~9e-16 max relative error vs libm — see solver_kernels.hpp), so scalar
-/// call sites agree bit-for-bit with the vectorized lane kernels.
-inline double predict_rssi_db(double gamma_dbm, double exponent, double dist_sq) {
-    return gamma_dbm -
-           5.0 * exponent * kernels::det_log10(std::max(dist_sq, kMinDistanceSq));
-}
 
 /// The solver's output: the target's location in the observer frame plus
 /// the jointly estimated propagation parameters.
@@ -82,6 +73,16 @@ struct SolveDiagnostics {
     bool converged{false};       ///< a fit was returned
 };
 
+/// A maximal run of consecutive samples that share one segment tag. The
+/// solver's kernels sweep one run at a time against that segment's Gamma
+/// (Sec. 5's Gamma(e)), so a walk that crosses environments costs one
+/// lane-kernel call per run.
+struct SegmentRun {
+    std::size_t begin{0};  ///< index of the run's first sample
+    std::size_t len{0};    ///< samples in the run (>= 1)
+    int seg{0};            ///< the shared segment tag (Gamma index once validated)
+};
+
 /// Reusable scratch and incremental per-exponent state for LocationSolver.
 ///
 /// All buffers grow on first use ("warm-up") and are then reused: a solve
@@ -99,7 +100,8 @@ public:
     void invalidate() {
         grid_valid = false;
         agg_count = 0;
-        seg_k = 1;
+        seg_lo = seg_hi = 0;
+        runs.clear();
         q_min = q_max = 0.0;
         rssi_sum = 0.0;
     }
@@ -133,16 +135,17 @@ public:
     /// match the grid the (n_min, n_max, step) triple enumerates.
     void import_warm_grid(const WarmGrid& wg);
 
-    /// Read-only view of the structure-of-arrays sample mirror the solver
-    /// packs once per flush (append-only, like every other aggregate).
-    /// Exposed only so the pack round-trip property can be tested
-    /// (tests/core/test_solver_kernels.cpp); the arrays are valid for the
-    /// first packed_count() entries after a solve.
+    /// Read-only view of the structure-of-arrays sample mirror and the
+    /// segment-run list the solver packs once per flush (append-only, like
+    /// every other aggregate). Exposed only so the pack round-trip property
+    /// can be tested (tests/core/test_solver_kernels.cpp); the arrays are
+    /// valid for the first packed_count() entries after a solve, and the
+    /// runs tile exactly those entries.
     std::size_t packed_count() const { return agg_count; }
     const std::vector<double>& packed_p() const { return soa_p; }
     const std::vector<double>& packed_q() const { return soa_q; }
     const std::vector<double>& packed_rssi() const { return soa_rssi; }
-    const std::vector<int>& packed_segment() const { return soa_seg; }
+    const std::vector<SegmentRun>& segment_runs() const { return runs; }
 
 private:
     friend class LocationSolver;
@@ -205,17 +208,20 @@ private:
     // Append-only sample aggregates (bitwise equal to the cold-start
     // full-pass values because they are the same left-to-right folds).
     std::size_t agg_count{0};
-    int seg_k{1};
+    int seg_lo{0}, seg_hi{0};  ///< smallest / largest segment tag folded
     double q_min{0.0}, q_max{0.0};
     double rssi_sum{0.0};
 
     // Structure-of-arrays mirror of the sample stream, packed append-only
     // alongside the aggregate fold (valid for the first agg_count entries).
     // The lane kernels (solver_kernels.hpp) read these contiguous arrays;
-    // the AoS FusedSample span remains the source of truth for the generic
-    // multi-segment paths and the scalar-reference kernel mode.
+    // the scalar-reference kernel mode reads the AoS FusedSample span.
     std::vector<double> soa_p, soa_q, soa_rssi;
-    std::vector<int> soa_seg;
+    // The segment runs tiling the first agg_count samples, in stream
+    // order; every kernel sweep visits them in this order. Folded in the
+    // same loop as the SoA mirror: a new sample extends the last run or
+    // opens a new one, so the list is append-only except for its tail.
+    std::vector<SegmentRun> runs;
 
     // Flat scratch for the linear seed (m <= 4, fixed arrays).
     double ata[16]{}, atb[4]{}, beta[4]{};
@@ -223,7 +229,7 @@ private:
     // Flat scratch for Gauss-Newton (dim = 2 + segment count).
     std::vector<double> jtj, jtr, delta;
     std::vector<double> gam_cur, gam_best, gam_sum;
-    std::vector<int> gam_cnt;
+    std::vector<std::size_t> gam_cnt;
     std::vector<double> resid;
 
     // Per-solve candidate set (for argmin + model averaging).
@@ -302,10 +308,11 @@ public:
     explicit LocationSolver(const Config& cfg) : cfg_(cfg) {}
 
     /// Full 2-D fit over (typically L-shaped) movement data. Returns
-    /// nullopt when there are too few samples or every candidate exponent
-    /// yields a degenerate system. `hints` (optional) narrows the exponent
-    /// and Gamma search regions; `diag` (optional) receives per-solve
-    /// work/convergence accounting.
+    /// nullopt when there are too few samples, a segment tag is out of
+    /// range (counted as solver.invalid_segments), or every candidate
+    /// exponent yields a degenerate system. `hints` (optional) narrows the
+    /// exponent and Gamma search regions; `diag` (optional) receives
+    /// per-solve work/convergence accounting.
     std::optional<LocationFit> solve(const std::vector<FusedSample>& samples,
                                      const SolveHints& hints = {},
                                      SolveDiagnostics* diag = nullptr) const;
@@ -402,7 +409,7 @@ private:
     bool evaluate_grid_point(SolverWorkspace& ws, SolverWorkspace::GridPoint& gp,
                              const FusedSample* samples, std::size_t count,
                              bool lateral_ok, double gamma_min, double gamma_max,
-                             int k, double mean_rssi, bool warm,
+                             std::size_t k, double mean_rssi, bool warm,
                              SolverWorkspace::CandidateSlot& slot) const;
 
     Config cfg_;

@@ -106,8 +106,10 @@ inline double det_log10(double x) {
 }
 
 /// Normal-equation sums of one 2-D Gauss-Newton iteration at fixed
-/// exponent with a single Gamma (the k == 1 fast path): jacobian row
-/// (jx, jy, 1) against residual r, upper triangle of JtJ plus Jtr.
+/// exponent over one segment run (a single Gamma): jacobian row
+/// (jx, jy, 1) against residual r, upper triangle of JtJ plus Jtr. The
+/// solver folds one of these per run into the shared x/h rows and the
+/// run's Gamma row.
 struct GnSums2 {
     double a00, a01, a02, a11, a12, a22;
     double r0, r1, r2;
@@ -123,7 +125,13 @@ struct GnSums3 {
     double r_x, r_y, r_z, r_g;
 };
 
-// --- 2-D kernels (LocationSolver k == 1 hot paths) --------------------------
+// --- 2-D kernels (LocationSolver, one call per segment run) -----------------
+//
+// LocationSolver sweeps the samples one SegmentRun at a time: every call
+// below covers one run's sub-range against that segment's Gamma, and the
+// solver folds the per-run results in run order. Since that call sequence
+// is identical in both kernel modes and at every W, the contract holds for
+// every segment count k, not only for single-segment walks.
 
 /// SoA lane kernel: GN accumulation over (p[i], q[i], rssi[i]) at candidate
 /// (x, h, gamma, exponent); c = -10 * exponent / ln(10) is the shared
@@ -157,8 +165,8 @@ double centered_m2_lanes(const double* resid, std::size_t n, double mean);
 
 double centered_m2_ref(const double* resid, std::size_t n, double mean);
 
-/// Residual sum under a trial (gamma_seed, exponent) model — the k == 1
-/// per-segment Gamma initialization (mean residual offset).
+/// Residual sum under a trial (gamma_seed, exponent) model over one run —
+/// the per-segment Gamma initialization (mean residual offset).
 template <std::size_t W>
 double seed_sum_lanes(const double* p, const double* q, const double* rssi,
                       std::size_t n, double x, double h, double gamma,

@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -170,12 +172,20 @@ void put_sample(wire::ByteWriter& w, const core::FusedSample& s) {
     w.svarint(s.segment);
 }
 
+/// A decoded svarint as an int, or -1 — an invalid segment tag, refused by
+/// get_session — when it does not fit: a forged 64-bit tag must not wrap
+/// into range.
+int get_int_tag(wire::ByteReader& r) {
+    const std::int64_t v = r.svarint();
+    return v >= 0 && v <= std::numeric_limits<int>::max() ? static_cast<int>(v) : -1;
+}
+
 void get_sample(wire::ByteReader& r, core::FusedSample& s) {
     s.t = r.f64();
     s.p = r.f64();
     s.q = r.f64();
     s.rssi = r.f64();
-    s.segment = static_cast<int>(r.svarint());
+    s.segment = get_int_tag(r);
 }
 
 /// Full serve-layer event (not the wire::EventRecord mirror): the ingest
@@ -344,7 +354,16 @@ bool get_session(wire::ByteReader& r, TrackingSession::Ckpt& ck) {
     for (double& v : ck.batch_raw) v = r.f64();
     ck.batch_fused.resize(read_count(r));
     for (auto& s : ck.batch_fused) get_sample(r, s);
-    ck.segment = static_cast<int>(r.svarint());
+    ck.segment = get_int_tag(r);
+    // Segment tags index the solver's per-segment Gammas: the session opens
+    // segments 0..ck.segment in order, so any tag outside that range is
+    // forged (and would index outside the solver's Gamma scratch).
+    const auto tag_ok = [&](const core::FusedSample& s) {
+        return s.segment >= 0 && s.segment <= ck.segment;
+    };
+    if (ck.segment < 0 || !std::all_of(ck.samples.begin(), ck.samples.end(), tag_ok) ||
+        !std::all_of(ck.batch_fused.begin(), ck.batch_fused.end(), tag_ok))
+        return false;
     ck.restarts = static_cast<int>(r.svarint());
     ck.resets = static_cast<int>(r.svarint());
     ck.has_regime = r.bool8();

@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <limits>
 #include <numbers>
 
 #include "locble/common/rng.hpp"
 #include "locble/common/vec2.hpp"
+#include "locble/obs/obs.hpp"
 
 namespace locble::core {
 namespace {
@@ -116,6 +120,78 @@ TEST(LocationSolverTest, TooFewSamplesRejected) {
     LocationSolver::Config cfg;
     cfg.min_samples = 10;
     EXPECT_FALSE(LocationSolver(cfg).solve(samples).has_value());
+}
+
+#if LOCBLE_OBS
+std::uint64_t invalid_segment_count() {
+    for (const auto& m : obs::Registry::global().snapshot())
+        if (m.name == "solver.invalid_segments") return m.count;
+    return 0;
+}
+#endif
+
+TEST(LocationSolverTest, OutOfRangeSegmentTagsYieldNoFit) {
+    // Tags index the per-segment Gammas: a negative tag, or one >= the
+    // sample count, must be refused (no fit, counted) — never read or
+    // size scratch past the samples. ASan/UBSan builds run this too.
+#if LOCBLE_OBS
+    obs::Registry& reg = obs::Registry::global();
+    reg.reset();
+    reg.set_enabled(true);
+#endif
+    const auto clean = l_shape_samples({4.0, 2.0}, -59.0, 2.0);
+    const int n = static_cast<int>(clean.size());
+    const int bad_tags[] = {-1, -1000, std::numeric_limits<int>::min(), n, n + 7,
+                            std::numeric_limits<int>::max()};
+    const std::size_t positions[] = {0, clean.size() / 2, clean.size() - 1};
+    for (const int bad : bad_tags) {
+        for (const std::size_t at : positions) {
+            SCOPED_TRACE(::testing::Message() << "tag " << bad << " at " << at);
+            auto samples = clean;
+            samples[at].segment = bad;
+            SolveDiagnostics diag;
+            EXPECT_FALSE(LocationSolver().solve(samples, {}, &diag).has_value());
+            EXPECT_FALSE(diag.converged);
+        }
+    }
+#if LOCBLE_OBS
+    EXPECT_EQ(invalid_segment_count(), std::size(bad_tags) * std::size(positions));
+    reg.set_enabled(false);
+#endif
+    // The largest in-range tag is still a valid (if sparse) layout.
+    auto edge = clean;
+    edge.back().segment = n - 1;
+    const auto fit = LocationSolver().solve(edge);
+    ASSERT_TRUE(fit.has_value());
+    EXPECT_EQ(fit->segment_gammas.size(), clean.size());
+}
+
+TEST(LocationSolverTest, SessionRefusesBadTagUntilReset) {
+    // A Session keeps its folds across flushes, so a bad tag keeps the
+    // session fit-less until reset; a tag that is only too large for the
+    // current count becomes valid once enough samples arrive.
+    const auto clean = l_shape_samples({4.0, 2.0}, -59.0, 2.0);
+    const LocationSolver solver;
+    LocationSolver::Session session(solver);
+    auto samples = clean;
+    samples[3].segment = -2;
+    session.add(samples);
+    EXPECT_FALSE(session.solve().has_value());
+    session.add(clean.front());
+    EXPECT_FALSE(session.solve().has_value());
+    session.reset();
+    session.add(clean);
+    EXPECT_TRUE(session.solve().has_value());
+
+    session.reset();
+    std::vector<FusedSample> head(clean.begin(), clean.begin() + 10);
+    head.back().segment = 12;  // > count 10 now; < count once 30 more arrive
+    session.add(head);
+    EXPECT_FALSE(session.solve().has_value());
+    session.add(std::vector<FusedSample>(clean.begin() + 10, clean.end()));
+    const auto fit = session.solve();
+    ASSERT_TRUE(fit.has_value());
+    EXPECT_EQ(fit->segment_gammas.size(), 13u);
 }
 
 TEST(LocationSolverTest, MovingTargetRelativeDisplacements) {

@@ -111,6 +111,45 @@ TEST(SolverAllocTest, SessionSolveIsAllocationFreeAfterWarmup) {
         << "Session::solve_into allocated after warm-up";
 }
 
+TEST(SolverAllocTest, MultiSegmentSessionIsAllocationFreeAfterWarmup) {
+    LOCBLE_SKIP_UNDER_SANITIZERS();
+    // A walk that crosses environments twice and returns to the first:
+    // tags 0,1,0,2 by quarter (four segment runs, three Gammas), with a
+    // 6 dB insertion loss per segment, flushed in uneven batches so the
+    // run list both extends its last run and opens new ones.
+    auto samples = walk_samples({5.0, 2.0}, -59.0, 2.0, 32);
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+        const std::size_t quarter = 4 * i / samples.size();
+        samples[i].segment = quarter == 1 ? 1 : (quarter == 3 ? 2 : 0);
+        samples[i].rssi -= 6.0 * samples[i].segment;
+    }
+    const LocationSolver solver;
+    LocationSolver::Session session(solver);
+    LocationFit out;
+    out.segment_gammas.reserve(4);
+    const std::size_t cuts[] = {10, 21, 37, 50, samples.size()};
+    const auto replay = [&] {
+        session.reset();
+        std::size_t pos = 0;
+        for (const std::size_t cut : cuts) {
+            for (; pos < cut; ++pos) session.add(samples[pos]);
+            (void)session.solve_into(out);
+        }
+    };
+    replay();  // warm-up: sizes the run list and the k = 3 scratch
+    ASSERT_EQ(out.segment_gammas.size(), 3u);
+    ASSERT_EQ(session.workspace().segment_runs().size(), 4u);
+
+    const std::uint64_t grows = session.workspace().grow_events();
+    const std::uint64_t before = g_allocations.load();
+    replay();
+    replay();
+    EXPECT_EQ(g_allocations.load(), before)
+        << "multi-segment Session allocated after warm-up";
+    EXPECT_EQ(session.workspace().grow_events(), grows);
+    EXPECT_EQ(out.segment_gammas.size(), 3u);
+}
+
 TEST(SolverAllocTest, WorkspaceGrowEventsStabilize) {
     LOCBLE_SKIP_UNDER_SANITIZERS();
     const LocationSolver solver;

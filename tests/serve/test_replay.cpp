@@ -20,6 +20,7 @@
 #include "locble/sim/multi_client.hpp"
 #include "locble/sim/workload_log.hpp"
 #include "locble/wire/codec.hpp"
+#include "locble/wire/log.hpp"
 
 namespace locble::serve {
 namespace {
@@ -380,6 +381,72 @@ TEST(WireCheckpointTest, CorruptCheckpointsAreRejected) {
             fresh.restore_checkpoint(std::string_view(ckpt).substr(0, n)),
             wire::WireError)
             << "prefix " << n;
+    }
+}
+
+/// Rewrite one client-section byte of a checkpoint and re-frame it with
+/// valid checksums, so only the content checks can catch the change.
+std::string reframe_with(const std::string& ckpt, std::size_t client_pos,
+                         char replacement) {
+    wire::LogReader in(ckpt);
+    wire::LogWriter out(wire::StreamKind::checkpoint);
+    wire::LogRecord frame;
+    while (in.next(frame) == wire::WireStatus::ok) {
+        std::string body(frame.section_body);
+        if (frame.section_name == "client") body[client_pos] = replacement;
+        out.section(frame.section_name, body);
+    }
+    return out.finish();
+}
+
+/// A checkpoint whose CRCs are valid but whose sample segment tags are
+/// forged must be refused as malformed: the tags index the solver's
+/// per-segment Gammas, so a negative or too-large tag would otherwise reach
+/// the solver's scratch arrays at the next solve.
+TEST(WireCheckpointTest, ForgedSegmentTagsAreMalformed) {
+    TrackingService donor(service_config(1, 1));
+    for (int i = 0; i < 8; ++i) donor.submit(pose_event(1, i, {0.6 * i, 0.0}));
+    constexpr double kMarkT = 0.05 + 0.1 * 23;
+    for (int i = 0; i < 60; ++i)
+        donor.submit(adv_event(1, 0.05 + 0.1 * i, 7, -60.0 - 0.1 * i));
+    donor.run_epoch();
+    const std::string ckpt = donor.checkpoint();
+
+    // Locate the one serialized sample taken at kMarkT: f64 t, p, q, rssi,
+    // then its svarint segment tag (one byte, 0x00, for segment 0).
+    wire::LogReader reader(ckpt);
+    wire::LogRecord frame;
+    std::string client;
+    while (reader.next(frame) == wire::WireStatus::ok)
+        if (frame.section_name == "client") client = std::string(frame.section_body);
+    wire::ByteWriter mark;
+    mark.f64(kMarkT);
+    const std::string pattern(mark.data());
+    std::size_t at = std::string::npos, hits = 0;
+    for (std::size_t pos = client.find(pattern); pos != std::string::npos;
+         pos = client.find(pattern, pos + 1)) {
+        ++hits;
+        at = pos + 32;
+    }
+    ASSERT_EQ(hits, 1u);
+    ASSERT_LT(at, client.size());
+    ASSERT_EQ(client[at], '\0');
+
+    // Re-framing the untouched tag restores fine ...
+    {
+        TrackingService fresh(service_config(1, 1));
+        EXPECT_NO_THROW(fresh.restore_checkpoint(reframe_with(ckpt, at, '\0')));
+    }
+    // ... while tag -1 (zigzag 0x01) and tag 1 (0x02, past the session's
+    // last opened segment 0) are typed wire errors.
+    for (const char forged : {'\x01', '\x02'}) {
+        TrackingService fresh(service_config(1, 1));
+        try {
+            fresh.restore_checkpoint(reframe_with(ckpt, at, forged));
+            FAIL() << "forged tag byte " << static_cast<int>(forged) << " accepted";
+        } catch (const wire::WireError& e) {
+            EXPECT_EQ(e.code(), wire::WireStatus::malformed);
+        }
     }
 }
 
