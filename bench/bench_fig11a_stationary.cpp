@@ -83,12 +83,10 @@ int main(int argc, char** argv) {
             ++n;
         }
         if (n == 0) continue;
-        table.add_row("#" + std::to_string(idx),
-                      {x_err / n, h_err / n, abs_err / n, dartle_err / n}, 2);
-        runner.report().add_scalar("env" + std::to_string(idx) + "_locble_abs_m",
-                                   abs_err / n);
-        runner.report().add_scalar("env" + std::to_string(idx) + "_dartle_abs_m",
-                                   dartle_err / n);
+        const std::string num = std::to_string(idx);
+        table.add_row("#" + num, {x_err / n, h_err / n, abs_err / n, dartle_err / n}, 2);
+        runner.report().add_scalar("env" + num + "_locble_abs_m", abs_err / n);
+        runner.report().add_scalar("env" + num + "_dartle_abs_m", dartle_err / n);
         locble_total += abs_err / n;
         dartle_total += dartle_err / n;
     }

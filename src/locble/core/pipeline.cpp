@@ -1,14 +1,14 @@
 #include "locble/core/pipeline.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
+#include "locble/core/regression_tracker.hpp"
 #include "locble/obs/obs.hpp"
 
 namespace locble::core {
 
 LocBle::LocBle(const Config& cfg, std::optional<EnvAware> envaware)
-    : cfg_(cfg), envaware_(std::move(envaware)), solver_(cfg.solver) {
+    : cfg_(cfg), envaware_(std::move(envaware)) {
     if (cfg_.use_envaware && (!envaware_ || !envaware_->trained()))
         throw std::invalid_argument("LocBle: use_envaware requires a trained EnvAware");
 }
@@ -21,7 +21,7 @@ motion::MotionEstimate rotate_motion(const motion::MotionEstimate& m, double ang
 
 LocateResult LocBle::locate(const locble::TimeSeries& raw_rss,
                             const motion::MotionEstimate& observer) const {
-    return run(raw_rss, observer, nullptr, 0.0);
+    return run(raw_rss, observer, nullptr);
 }
 
 LocateResult LocBle::locate(const locble::TimeSeries& raw_rss,
@@ -29,116 +29,42 @@ LocateResult LocBle::locate(const locble::TimeSeries& raw_rss,
                             const motion::MotionEstimate& target,
                             double target_frame_rotation) const {
     const motion::MotionEstimate aligned = rotate_motion(target, target_frame_rotation);
-    return run(raw_rss, observer, &aligned, 0.0);
+    return run(raw_rss, observer, &aligned);
 }
 
 LocateResult LocBle::run(const locble::TimeSeries& raw_rss,
                          const motion::MotionEstimate& observer,
-                         const motion::MotionEstimate* target,
-                         double /*target_frame_rotation*/) const {
+                         const motion::MotionEstimate* target) const {
     LOCBLE_SPAN("pipeline.locate");
     LocateResult result;
     if (raw_rss.empty()) return result;
     LOCBLE_COUNT("pipeline.locate_calls", 1);
     LOCBLE_COUNT("pipeline.samples_in", raw_rss.size());
 
-    // ANF runs offline (zero-phase) over the recorded capture; EnvAware
-    // sees raw batches (it learns from the raw fluctuation statistics the
-    // filter would erase).
+    // ANF runs offline (zero-phase) over the recorded capture; the tracker's
+    // EnvAware sees the raw batches.
     const dsp::Anf anf(cfg_.anf);
     locble::TimeSeries denoised_series;
     if (cfg_.use_anf) denoised_series = anf.process_offline(raw_rss);
-    std::optional<EnvAware> env = envaware_;  // private streaming state
-    if (env) env->reset_stream();
-
-    // One regression shared across the walk; a regime change opens a new
-    // environment *segment* (Algo. 1's "new regression"): the solver keeps
-    // (x, h) common and fits Gamma per segment, so blockage insertion loss
-    // is absorbed without discarding geometry. The Session makes the
-    // per-batch re-solve incremental: each flush folds only the new batch
-    // into the per-exponent solver state instead of rebuilding it from the
-    // whole accumulated stream.
-    LocationSolver::Session session(solver_);
-    std::optional<LocationFit> last_fit;
-    std::size_t last_fit_samples = 0;
-    int segment = 0;
-    std::optional<channel::PropagationClass> regime;
-    double band_min = 10.0, band_max = 0.0;  // union of regime bands seen
-    bool saw_blocked = false;  // any non-LoS window so far (running, not rescanned)
-    double prev_batch_mean = 0.0;
-    bool have_prev_batch = false;
+    RegressionTracker tracker(cfg_, envaware_ ? &*envaware_ : nullptr);
 
     const double t0 = raw_rss.front().t;
     double batch_end = t0 + cfg_.batch_seconds;
     std::vector<double> batch_raw;
     std::vector<FusedSample> batch_fused;
 
+    // Offline cadence: every flushed batch is re-solved at once.
     auto flush_batch = [&]() {
         if (batch_raw.empty()) return;
         LOCBLE_COUNT("pipeline.batches", 1);
-        result.diagnostics.batch_samples.push_back(batch_raw.size());
-        bool restart = false;
-        if (cfg_.use_envaware && env && batch_raw.size() >= 4) {
-            const auto obs = env->observe(batch_raw);
-            result.diagnostics.envaware_windows += 1;
-            result.window_classes.push_back(obs.window_class);
-            if (obs.window_class != channel::PropagationClass::los) saw_blocked = true;
-            regime = obs.regime;
-            restart = obs.changed;
-        }
-        if (regime && cfg_.use_regime_bands) {
-            const auto band = exponent_band_for(*regime);
-            band_min = std::min(band_min, band.first);
-            band_max = std::max(band_max, band.second);
-        }
-        double batch_mean = 0.0;
-        for (double v : batch_raw) batch_mean += v;
-        batch_mean /= static_cast<double>(batch_raw.size());
-        // A classifier flip only opens a new segment when the received
-        // level actually moved (real insertion-loss change); spurious
-        // reclassifications must not fragment the regression.
-        const bool level_jumped =
-            have_prev_batch && std::abs(batch_mean - prev_batch_mean) > 4.0;
-        prev_batch_mean = batch_mean;
-        have_prev_batch = true;
-        if (restart && level_jumped && cfg_.restart_on_change) {
-            ++segment;
-            ++result.regression_restarts;
+        const auto batch = tracker.observe(batch_raw);
+        if (batch.window_class) result.window_classes.push_back(*batch.window_class);
+        if (batch.env_changed) {
+            tracker.open_segment();
             LOCBLE_COUNT("pipeline.regression_restarts", 1);
         }
-        for (auto& s : batch_fused) s.segment = segment;
-        session.add(batch_fused);
-
-        SolveHints hints;
-        // The regime's exponent band is applied only when a single regime
-        // covered the whole walk; mixed-regime data keeps the full range
-        // (the union band measured worse than either constraint).
-        if (cfg_.use_regime_bands && band_max > band_min &&
-            result.regression_restarts == 0)
-            hints.exponent_band = {{band_min, band_max}};
-        if (cfg_.gamma_prior_dbm) {
-            // Blockage shows up as insertion loss the log-distance model has
-            // no term for; per-segment Gammas absorb it, so the band must
-            // open downward when any blocked regime was seen (glass/body
-            // ~3-8 dB, concrete or metal 8-15 dB below calibration).
-            double below = cfg_.gamma_prior_below_db;
-            if (saw_blocked && cfg_.use_regime_bands) below += 14.0;
-            hints.gamma_band_dbm = {*cfg_.gamma_prior_dbm - below,
-                                    *cfg_.gamma_prior_dbm + cfg_.gamma_prior_above_db};
-        }
-
-        SolveDiagnostics sd;
-        if (auto fit = session.solve(hints, &sd)) {
-            last_fit = std::move(fit);
-            last_fit_samples = session.size();
-        }
-        auto& diag = result.diagnostics;
-        diag.solver_calls += 1;
-        diag.solver_candidates += sd.exponent_candidates;
-        diag.solver_failures += sd.candidate_failures;
-        diag.solver_multistarts += sd.multistart_runs;
-        diag.solver_warm_starts += sd.warm_starts;
-        if (!sd.converged) diag.convergence_failures += 1;
+        tracker.add(batch_fused);
+        tracker.solve();
         batch_raw.clear();
         batch_fused.clear();
     };
@@ -164,8 +90,11 @@ LocateResult LocBle::run(const locble::TimeSeries& raw_rss,
     }
     flush_batch();
 
-    result.fit = last_fit;
-    result.samples_used = last_fit_samples;
+    const RegressionTracker::State& st = tracker.state();
+    if (st.has_fit) result.fit = st.fit;
+    result.regression_restarts = st.restarts;
+    result.samples_used = st.samples_used;
+    result.diagnostics = st.diag;
     if (!result.fit) LOCBLE_COUNT("pipeline.no_fix", 1);
     return result;
 }

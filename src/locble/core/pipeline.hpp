@@ -17,11 +17,13 @@ struct LocateResult {
     /// regardless of the locble::obs build/runtime switches — library users
     /// get solver and batching insight without linking the tracer.
     struct Diagnostics {
-        int solver_calls{0};         ///< regression solves (one per flushed batch)
+        /// Regression solves: one per flushed batch offline; one per epoch
+        /// in serve (per flushed batch with solve_per_flush).
+        int solver_calls{0};
         int solver_candidates{0};    ///< exponent grid points evaluated in total
         int solver_failures{0};      ///< grid points rejected (degenerate/implausible)
         int solver_multistarts{0};   ///< solves that needed the multi-start fallback
-        int solver_warm_starts{0};   ///< grid points seeded from a previous flush
+        int solver_warm_starts{0};   ///< grid points seeded from a previous solve
         int convergence_failures{0}; ///< solves that returned no fit at all
         int envaware_windows{0};     ///< batches EnvAware classified
         std::vector<std::size_t> batch_samples;  ///< RSS samples per Algo. 1 batch
@@ -88,12 +90,10 @@ public:
 private:
     LocateResult run(const locble::TimeSeries& raw_rss,
                      const motion::MotionEstimate& observer,
-                     const motion::MotionEstimate* target,
-                     double target_frame_rotation) const;
+                     const motion::MotionEstimate* target) const;
 
     Config cfg_;
     std::optional<EnvAware> envaware_;
-    LocationSolver solver_;
 };
 
 /// Rotate a dead-reckoned path by `angle` radians (frame alignment for the

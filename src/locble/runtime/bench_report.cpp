@@ -105,7 +105,9 @@ std::string BenchReport::to_json() const {
         if (const auto* d = std::get_if<double>(&value)) {
             out += json_number(*d);
         } else if (const auto* s = std::get_if<std::string>(&value)) {
-            out += "\"" + json_escape(*s) + "\"";
+            out += '"';
+            out += json_escape(*s);
+            out += '"';
         } else {
             const auto& sm = std::get<Summary>(value);
             out += "{\"count\": " + std::to_string(sm.count);

@@ -11,9 +11,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -32,19 +34,6 @@ constexpr std::uint32_t kCkptFormat = 1;
     throw wire::WireError(code, "TrackingService checkpoint: " + what);
 }
 
-/// Element count for a following loop, bounded by the bytes actually
-/// present: every element costs at least one byte, so a count beyond
-/// remaining() can only come from corruption — latch failure instead of
-/// letting a forged length drive a giant allocation loop.
-std::size_t read_count(wire::ByteReader& r) {
-    const std::uint64_t n = r.varint();
-    if (n > r.remaining()) {
-        r.bytes(r.remaining() + 1);  // latch failed()
-        return 0;
-    }
-    return static_cast<std::size_t>(n);
-}
-
 std::uint64_t fnv1a(std::string_view s) {
     std::uint64_t h = 1469598103934665603ull;
     for (const char c : s) {
@@ -52,42 +41,6 @@ std::uint64_t fnv1a(std::string_view s) {
         h *= 1099511628211ull;
     }
     return h;
-}
-
-void put_stats(wire::ByteWriter& w, const IngestStats& s) {
-    w.varint(s.submitted);
-    w.varint(s.accepted);
-    w.varint(s.dropped);
-    w.varint(s.rejected);
-    w.varint(s.late);
-    w.varint(s.epochs);
-    w.varint(s.clients_created);
-    w.varint(s.clients_evicted);
-    w.varint(s.sessions_created);
-    w.varint(s.sessions_evicted);
-    w.varint(s.sessions_reset);
-    w.varint(s.batches_flushed);
-    w.varint(s.solves);
-    w.varint(s.cluster_runs);
-}
-
-IngestStats get_stats(wire::ByteReader& r) {
-    IngestStats s;
-    s.submitted = r.varint();
-    s.accepted = r.varint();
-    s.dropped = r.varint();
-    s.rejected = r.varint();
-    s.late = r.varint();
-    s.epochs = r.varint();
-    s.clients_created = r.varint();
-    s.clients_evicted = r.varint();
-    s.sessions_created = r.varint();
-    s.sessions_evicted = r.varint();
-    s.sessions_reset = r.varint();
-    s.batches_flushed = r.varint();
-    s.solves = r.varint();
-    s.cluster_runs = r.varint();
-    return s;
 }
 
 /// Exact fieldwise u64 difference of two monotone stats views (now >= base).
@@ -110,300 +63,332 @@ IngestStats stats_minus(const IngestStats& now, const IngestStats& base) {
     return d;
 }
 
-void put_sketch(wire::ByteWriter& w, const obs::QuantileSketch& s) {
-    w.bool8(s.configured());
-    if (!s.configured()) return;
-    w.f64(s.upper_bound());
-    w.varint(s.resolution());
-    w.varint(s.count());
-    w.f64(s.max());
-    for (const std::uint64_t b : s.buckets()) w.varint(b);
+// One io(Ar&, T) per struct lists its fields once; run with a Writer it
+// encodes, with a Reader it decodes (docs/WIRE.md). Field<Ar, T> is
+// `const T&` for the writer and `T&` for the reader.
+
+/// Encoding archive over a wire::ByteWriter.
+class Writer {
+public:
+    static constexpr bool kReading = false;
+    explicit Writer(wire::ByteWriter& w) : w_(w) {}
+
+    void u64(std::uint64_t v) { w_.u64(v); }
+    void varint(std::uint64_t v) { w_.varint(v); }
+    void svarint(std::int64_t v) { w_.svarint(v); }
+    void f64(double v) { w_.f64(v); }
+    void bool8(bool v) { w_.bool8(v); }
+    template <class E>
+    void enum8(E v, E /*last*/) {
+        w_.u8(static_cast<std::uint8_t>(v));
+    }
+    void tag(int v) { w_.svarint(v); }
+    /// Element count, then `each` per element in order.
+    template <class Seq, class F>
+    void seq(const Seq& v, F each) {
+        w_.varint(v.size());
+        for (const auto& x : v) each(x);
+    }
+
+private:
+    wire::ByteWriter& w_;
+};
+
+/// Decoding archive over a wire::ByteReader. Every failed read-side check
+/// latches the reader's failure, so a caller checks ok() once per section.
+class Reader {
+public:
+    static constexpr bool kReading = true;
+    explicit Reader(wire::ByteReader& r) : r_(r) {}
+
+    void u64(std::uint64_t& v) { v = r_.u64(); }
+    template <class U>
+    void varint(U& v) {
+        v = static_cast<U>(r_.varint());
+    }
+    template <class I>
+    void svarint(I& v) {
+        v = static_cast<I>(r_.svarint());
+    }
+    void f64(double& v) { v = r_.f64(); }
+    void bool8(bool& v) { v = r_.bool8(); }
+    /// One-byte enum; a value past `last` is corruption.
+    template <class E>
+    void enum8(E& v, E last) {
+        const std::uint8_t b = r_.u8();
+        if (b > static_cast<std::uint8_t>(last)) invalidate();
+        else v = static_cast<E>(b);
+    }
+    /// A segment tag as an int, or -1 — an invalid tag, refused by the
+    /// session io — when it does not fit: a forged 64-bit tag must not
+    /// wrap into range.
+    void tag(int& v) {
+        const std::int64_t t = r_.svarint();
+        v = t >= 0 && t <= std::numeric_limits<int>::max() ? static_cast<int>(t) : -1;
+    }
+    template <class Seq, class F>
+    void seq(Seq& v, F each) {
+        v.resize(count());
+        for (auto& x : v) each(x);
+    }
+    /// Element count bounded by the bytes actually present: every element
+    /// costs at least one byte, so a count beyond remaining() can only come
+    /// from corruption — latch failure instead of letting a forged length
+    /// drive a giant allocation loop.
+    std::size_t count() {
+        const std::uint64_t n = r_.varint();
+        if (n > r_.remaining()) {
+            invalidate();
+            return 0;
+        }
+        return static_cast<std::size_t>(n);
+    }
+    std::size_t remaining() const { return r_.remaining(); }
+    void invalidate() { r_.bytes(r_.remaining() + 1); }
+    bool ok() const { return r_.ok(); }
+
+private:
+    wire::ByteReader& r_;
+};
+
+template <class Ar, class T>
+using Field = std::conditional_t<Ar::kReading, T&, const T&>;
+
+template <class Ar, class Seq>
+void io_f64s(Ar& a, Seq& v) {
+    a.seq(v, [&](auto& x) { a.f64(x); });
 }
 
-void get_sketch(wire::ByteReader& r, obs::QuantileSketch& out) {
-    if (!r.bool8()) {
-        out = obs::QuantileSketch{};
+template <class Ar, class Seq>
+void io_varints(Ar& a, Seq& v) {
+    a.seq(v, [&](auto& x) { a.varint(x); });
+}
+
+template <class Ar, class Seq>
+void io_seq(Ar& a, Seq& v) {
+    a.seq(v, [&](auto& x) { io(a, x); });
+}
+
+template <class Ar>
+void io(Ar& a, Field<Ar, IngestStats> s) {
+    a.varint(s.submitted);
+    a.varint(s.accepted);
+    a.varint(s.dropped);
+    a.varint(s.rejected);
+    a.varint(s.late);
+    a.varint(s.epochs);
+    a.varint(s.clients_created);
+    a.varint(s.clients_evicted);
+    a.varint(s.sessions_created);
+    a.varint(s.sessions_evicted);
+    a.varint(s.sessions_reset);
+    a.varint(s.batches_flushed);
+    a.varint(s.solves);
+    a.varint(s.cluster_runs);
+}
+
+/// The sketch keeps its fields private, so io() goes through its
+/// accessors and restore(); the bucket vector is sized from `resolution`
+/// only after the parameter check.
+template <class Ar>
+void io(Ar& a, Field<Ar, obs::QuantileSketch> s) {
+    bool configured = s.configured();
+    a.bool8(configured);
+    if (!configured) {
+        if constexpr (Ar::kReading) s = obs::QuantileSketch{};
         return;
     }
-    const double upper = r.f64();
-    const auto resolution = static_cast<std::uint32_t>(r.varint());
-    const std::uint64_t count = r.varint();
-    const double max = r.f64();
-    if (resolution == 0 || !(upper > 0.0) ||
-        static_cast<std::uint64_t>(resolution) + 1 > r.remaining()) {
-        r.bytes(r.remaining() + 1);  // corrupted parameters: latch failure
-        return;
+    double upper = s.upper_bound();
+    std::uint32_t resolution = s.resolution();
+    std::uint64_t count = s.count();
+    double max = s.max();
+    a.f64(upper);
+    a.varint(resolution);
+    a.varint(count);
+    a.f64(max);
+    if constexpr (Ar::kReading) {
+        if (resolution == 0 || !(upper > 0.0) ||
+            static_cast<std::uint64_t>(resolution) + 1 > a.remaining()) {
+            a.invalidate();
+            return;
+        }
+        std::vector<std::uint64_t> buckets(static_cast<std::size_t>(resolution) + 1);
+        for (auto& b : buckets) a.varint(b);
+        if (a.ok()) s.restore(upper, resolution, std::move(buckets), count, max);
+    } else {
+        for (const std::uint64_t b : s.buckets()) a.varint(b);
     }
-    std::vector<std::uint64_t> buckets(static_cast<std::size_t>(resolution) + 1);
-    for (auto& b : buckets) b = r.varint();
-    if (!r.ok()) return;
-    out.restore(upper, resolution, std::move(buckets), count, max);
 }
 
-void put_fit(wire::ByteWriter& w, const core::LocationFit& f) {
-    w.f64(f.location.x);
-    w.f64(f.location.y);
-    w.f64(f.exponent);
-    w.f64(f.gamma_dbm);
-    w.varint(f.segment_gammas.size());
-    for (const double g : f.segment_gammas) w.f64(g);
-    w.f64(f.residual_db);
-    w.f64(f.confidence);
-    w.bool8(f.ambiguous);
+template <class Ar>
+void io(Ar& a, Field<Ar, core::LocationFit> f) {
+    a.f64(f.location.x);
+    a.f64(f.location.y);
+    a.f64(f.exponent);
+    a.f64(f.gamma_dbm);
+    io_f64s(a, f.segment_gammas);
+    a.f64(f.residual_db);
+    a.f64(f.confidence);
+    a.bool8(f.ambiguous);
 }
 
-void get_fit(wire::ByteReader& r, core::LocationFit& f) {
-    f.location.x = r.f64();
-    f.location.y = r.f64();
-    f.exponent = r.f64();
-    f.gamma_dbm = r.f64();
-    f.segment_gammas.resize(read_count(r));
-    for (double& g : f.segment_gammas) g = r.f64();
-    f.residual_db = r.f64();
-    f.confidence = r.f64();
-    f.ambiguous = r.bool8();
-}
-
-void put_sample(wire::ByteWriter& w, const core::FusedSample& s) {
-    w.f64(s.t);
-    w.f64(s.p);
-    w.f64(s.q);
-    w.f64(s.rssi);
-    w.svarint(s.segment);
-}
-
-/// A decoded svarint as an int, or -1 — an invalid segment tag, refused by
-/// get_session — when it does not fit: a forged 64-bit tag must not wrap
-/// into range.
-int get_int_tag(wire::ByteReader& r) {
-    const std::int64_t v = r.svarint();
-    return v >= 0 && v <= std::numeric_limits<int>::max() ? static_cast<int>(v) : -1;
-}
-
-void get_sample(wire::ByteReader& r, core::FusedSample& s) {
-    s.t = r.f64();
-    s.p = r.f64();
-    s.q = r.f64();
-    s.rssi = r.f64();
-    s.segment = get_int_tag(r);
+template <class Ar>
+void io(Ar& a, Field<Ar, core::FusedSample> s) {
+    a.f64(s.t);
+    a.f64(s.p);
+    a.f64(s.q);
+    a.f64(s.rssi);
+    a.tag(s.segment);
 }
 
 /// Full serve-layer event (not the wire::EventRecord mirror): the ingest
 /// queues hold the POD verbatim, so the checkpoint writes all fields flat.
-void put_event(wire::ByteWriter& w, const Event& e) {
-    w.varint(e.client);
-    w.f64(e.t);
-    w.u8(static_cast<std::uint8_t>(e.kind));
-    w.varint(e.beacon);
-    w.f64(e.rssi_dbm);
-    w.f64(e.position.x);
-    w.f64(e.position.y);
+template <class Ar>
+void io(Ar& a, Field<Ar, Event> e) {
+    a.varint(e.client);
+    a.f64(e.t);
+    a.enum8(e.kind, EventKind::pose);
+    a.varint(e.beacon);
+    a.f64(e.rssi_dbm);
+    a.f64(e.position.x);
+    a.f64(e.position.y);
 }
 
-bool get_event(wire::ByteReader& r, Event& e) {
-    e.client = r.varint();
-    e.t = r.f64();
-    const std::uint8_t kind = r.u8();
-    if (kind > static_cast<std::uint8_t>(EventKind::pose)) return false;
-    e.kind = static_cast<EventKind>(kind);
-    e.beacon = r.varint();
-    e.rssi_dbm = r.f64();
-    e.position.x = r.f64();
-    e.position.y = r.f64();
-    return r.ok();
+template <class Ar>
+void io(Ar& a, Field<Ar, motion::TimedPosition> tp) {
+    a.f64(tp.t);
+    a.f64(tp.position.x);
+    a.f64(tp.position.y);
 }
 
-void put_optional_class(wire::ByteWriter& w,
-                        const std::optional<channel::PropagationClass>& c) {
-    w.bool8(c.has_value());
-    w.u8(c ? static_cast<std::uint8_t>(*c) : 0u);
-}
-
-bool get_optional_class(wire::ByteReader& r,
-                        std::optional<channel::PropagationClass>& out) {
-    const bool has = r.bool8();
-    const std::uint8_t v = r.u8();
-    if (v > static_cast<std::uint8_t>(channel::PropagationClass::nlos))
-        return false;
-    out.reset();
-    if (has) out = static_cast<channel::PropagationClass>(v);
-    return r.ok();
-}
-
-void put_session(wire::ByteWriter& w, const TrackingSession::Ckpt& ck) {
-    // ANF chain state.
-    w.varint(ck.anf.sections.size());
-    for (const auto& [s1, s2] : ck.anf.sections) {
-        w.f64(s1);
-        w.f64(s2);
+template <class Ar>
+void io(Ar& a, Field<Ar, std::optional<channel::PropagationClass>> c) {
+    bool has = c.has_value();
+    channel::PropagationClass v = c.value_or(channel::PropagationClass::los);
+    a.bool8(has);
+    a.enum8(v, channel::PropagationClass::nlos);
+    if constexpr (Ar::kReading) {
+        c.reset();
+        if (has) c = v;
     }
-    w.f64(ck.anf.akf.x);
-    w.f64(ck.anf.akf.p);
-    w.bool8(ck.anf.akf.initialized);
-    w.f64(ck.anf.akf.bias);
-    w.bool8(ck.anf.primed);
-    w.f64(ck.anf.last_bf);
+}
+
+/// Session fields in their format-1 order, which interleaves the tracker's
+/// state with the session's own (`resets` sits between tracker fields).
+template <class Ar>
+void io(Ar& a, Field<Ar, TrackingSession::Ckpt> ck) {
+    auto& anf = ck.anf;
+    auto& tr = ck.tracker;
+    auto& st = ck.tracker.state;
+    auto& se = ck.session;
+    // ANF chain state.
+    a.seq(anf.sections, [&](auto& s) {
+        a.f64(s.first);
+        a.f64(s.second);
+    });
+    a.f64(anf.akf.x);
+    a.f64(anf.akf.p);
+    a.bool8(anf.akf.initialized);
+    a.f64(anf.akf.bias);
+    a.bool8(anf.primed);
+    a.f64(anf.last_bf);
     // EnvAware regime tracker.
-    w.bool8(ck.has_env);
-    put_optional_class(w, ck.env.regime);
-    put_optional_class(w, ck.env.pending);
-    w.svarint(ck.env.pending_count);
+    a.bool8(tr.has_env);
+    io(a, tr.env.regime);
+    io(a, tr.env.pending);
+    a.svarint(tr.env.pending_count);
     // Accumulated regression samples (the solver folds rebuild from these).
-    w.varint(ck.samples.size());
-    for (const auto& s : ck.samples) put_sample(w, s);
+    io_seq(a, tr.samples);
     // Warm-start grid (the one non-rebuildable piece of solver state).
-    w.bool8(ck.warm_grid.valid);
-    if (ck.warm_grid.valid) {
-        w.f64(ck.warm_grid.n_min);
-        w.f64(ck.warm_grid.n_max);
-        w.f64(ck.warm_grid.step);
-        w.varint(ck.warm_grid.points.size());
-        for (const auto& p : ck.warm_grid.points) {
-            w.bool8(p.has_fit);
-            w.f64(p.loc.x);
-            w.f64(p.loc.y);
-            w.varint(p.gammas.size());
-            for (const double g : p.gammas) w.f64(g);
-        }
+    auto& wg = tr.warm_grid;
+    a.bool8(wg.valid);
+    if (wg.valid) {
+        a.f64(wg.n_min);
+        a.f64(wg.n_max);
+        a.f64(wg.step);
+        a.seq(wg.points, [&](auto& p) {
+            a.bool8(p.has_fit);
+            a.f64(p.loc.x);
+            a.f64(p.loc.y);
+            io_f64s(a, p.gammas);
+        });
     }
     // Batch window and lifecycle scalars.
-    w.bool8(ck.started);
-    w.f64(ck.batch_end);
-    w.f64(ck.last_event_t);
-    w.varint(ck.batch_raw.size());
-    for (const double v : ck.batch_raw) w.f64(v);
-    w.varint(ck.batch_fused.size());
-    for (const auto& s : ck.batch_fused) put_sample(w, s);
-    w.svarint(ck.segment);
-    w.svarint(ck.restarts);
-    w.svarint(ck.resets);
-    w.bool8(ck.has_regime);
-    w.u8(static_cast<std::uint8_t>(ck.regime));
-    w.f64(ck.band_min);
-    w.f64(ck.band_max);
-    w.bool8(ck.saw_blocked);
-    w.f64(ck.prev_batch_mean);
-    w.bool8(ck.have_prev_batch);
-    w.bool8(ck.dirty);
-    w.bool8(ck.epoch_changed);
-    w.bool8(ck.snap_dirty);
-    w.bool8(ck.dirty_listed);
+    a.bool8(se.started);
+    a.f64(se.batch_end);
+    a.f64(se.last_event_t);
+    io_f64s(a, se.batch_raw);
+    io_seq(a, se.batch_fused);
+    a.tag(st.segment);
+    if constexpr (Ar::kReading) {
+        // Segment tags index the solver's per-segment Gammas: the session
+        // opens segments 0..segment in order, so any tag outside that range
+        // is forged (and would index outside the solver's Gamma scratch).
+        const auto tag_ok = [&](const core::FusedSample& s) {
+            return s.segment >= 0 && s.segment <= st.segment;
+        };
+        if (st.segment < 0 || !std::all_of(tr.samples.begin(), tr.samples.end(), tag_ok) ||
+            !std::all_of(se.batch_fused.begin(), se.batch_fused.end(), tag_ok))
+            a.invalidate();
+    }
+    a.svarint(st.restarts);
+    a.svarint(se.resets);
+    io(a, st.regime);
+    a.f64(st.band_min);
+    a.f64(st.band_max);
+    a.bool8(st.saw_blocked);
+    a.f64(st.prev_batch_mean);
+    a.bool8(st.have_prev_batch);
+    a.bool8(se.dirty);
+    a.bool8(se.epoch_changed);
+    a.bool8(se.snap_dirty);
+    a.bool8(se.dirty_listed);
     // Published estimate.
-    w.bool8(ck.has_fit);
-    if (ck.has_fit) put_fit(w, ck.fit);
-    w.varint(ck.samples_used);
-    w.varint(ck.samples_seen);
+    a.bool8(st.has_fit);
+    if (st.has_fit) io(a, st.fit);
+    a.varint(st.samples_used);
+    a.varint(se.samples_seen);
     // Diagnostics.
-    w.svarint(ck.diag.solver_calls);
-    w.svarint(ck.diag.solver_candidates);
-    w.svarint(ck.diag.solver_failures);
-    w.svarint(ck.diag.solver_multistarts);
-    w.svarint(ck.diag.solver_warm_starts);
-    w.svarint(ck.diag.convergence_failures);
-    w.svarint(ck.diag.envaware_windows);
-    w.varint(ck.diag.batch_samples.size());
-    for (const std::size_t n : ck.diag.batch_samples) w.varint(n);
+    auto& d = st.diag;
+    a.svarint(d.solver_calls);
+    a.svarint(d.solver_candidates);
+    a.svarint(d.solver_failures);
+    a.svarint(d.solver_multistarts);
+    a.svarint(d.solver_warm_starts);
+    a.svarint(d.convergence_failures);
+    a.svarint(d.envaware_windows);
+    io_varints(a, d.batch_samples);
     // Clustering calibration.
-    w.bool8(ck.has_cluster);
-    if (ck.has_cluster) {
-        w.f64(ck.cluster.calibrated.x);
-        w.f64(ck.cluster.calibrated.y);
-        w.f64(ck.cluster.combined_confidence);
-        w.varint(ck.cluster.members.size());
-        for (const std::uint64_t m : ck.cluster.members) w.varint(m);
-        w.varint(ck.cluster.rejected);
+    a.bool8(se.has_cluster);
+    if (se.has_cluster) {
+        a.f64(se.cluster.calibrated.x);
+        a.f64(se.cluster.calibrated.y);
+        a.f64(se.cluster.combined_confidence);
+        io_varints(a, se.cluster.members);
+        a.varint(se.cluster.rejected);
     }
 }
 
-bool get_session(wire::ByteReader& r, TrackingSession::Ckpt& ck) {
-    ck.anf.sections.resize(read_count(r));
-    for (auto& [s1, s2] : ck.anf.sections) {
-        s1 = r.f64();
-        s2 = r.f64();
-    }
-    ck.anf.akf.x = r.f64();
-    ck.anf.akf.p = r.f64();
-    ck.anf.akf.initialized = r.bool8();
-    ck.anf.akf.bias = r.f64();
-    ck.anf.primed = r.bool8();
-    ck.anf.last_bf = r.f64();
-    ck.has_env = r.bool8();
-    if (!get_optional_class(r, ck.env.regime)) return false;
-    if (!get_optional_class(r, ck.env.pending)) return false;
-    ck.env.pending_count = static_cast<int>(r.svarint());
-    ck.samples.resize(read_count(r));
-    for (auto& s : ck.samples) get_sample(r, s);
-    ck.warm_grid.valid = r.bool8();
-    if (ck.warm_grid.valid) {
-        ck.warm_grid.n_min = r.f64();
-        ck.warm_grid.n_max = r.f64();
-        ck.warm_grid.step = r.f64();
-        ck.warm_grid.points.resize(read_count(r));
-        for (auto& p : ck.warm_grid.points) {
-            p.has_fit = r.bool8();
-            p.loc.x = r.f64();
-            p.loc.y = r.f64();
-            p.gammas.resize(read_count(r));
-            for (double& g : p.gammas) g = r.f64();
-        }
-    }
-    ck.started = r.bool8();
-    ck.batch_end = r.f64();
-    ck.last_event_t = r.f64();
-    ck.batch_raw.resize(read_count(r));
-    for (double& v : ck.batch_raw) v = r.f64();
-    ck.batch_fused.resize(read_count(r));
-    for (auto& s : ck.batch_fused) get_sample(r, s);
-    ck.segment = get_int_tag(r);
-    // Segment tags index the solver's per-segment Gammas: the session opens
-    // segments 0..ck.segment in order, so any tag outside that range is
-    // forged (and would index outside the solver's Gamma scratch).
-    const auto tag_ok = [&](const core::FusedSample& s) {
-        return s.segment >= 0 && s.segment <= ck.segment;
-    };
-    if (ck.segment < 0 || !std::all_of(ck.samples.begin(), ck.samples.end(), tag_ok) ||
-        !std::all_of(ck.batch_fused.begin(), ck.batch_fused.end(), tag_ok))
-        return false;
-    ck.restarts = static_cast<int>(r.svarint());
-    ck.resets = static_cast<int>(r.svarint());
-    ck.has_regime = r.bool8();
-    const std::uint8_t regime = r.u8();
-    if (regime > static_cast<std::uint8_t>(channel::PropagationClass::nlos))
-        return false;
-    ck.regime = static_cast<channel::PropagationClass>(regime);
-    ck.band_min = r.f64();
-    ck.band_max = r.f64();
-    ck.saw_blocked = r.bool8();
-    ck.prev_batch_mean = r.f64();
-    ck.have_prev_batch = r.bool8();
-    ck.dirty = r.bool8();
-    ck.epoch_changed = r.bool8();
-    ck.snap_dirty = r.bool8();
-    ck.dirty_listed = r.bool8();
-    ck.has_fit = r.bool8();
-    if (ck.has_fit) get_fit(r, ck.fit);
-    ck.samples_used = r.varint();
-    ck.samples_seen = r.varint();
-    ck.diag.solver_calls = static_cast<int>(r.svarint());
-    ck.diag.solver_candidates = static_cast<int>(r.svarint());
-    ck.diag.solver_failures = static_cast<int>(r.svarint());
-    ck.diag.solver_multistarts = static_cast<int>(r.svarint());
-    ck.diag.solver_warm_starts = static_cast<int>(r.svarint());
-    ck.diag.convergence_failures = static_cast<int>(r.svarint());
-    ck.diag.envaware_windows = static_cast<int>(r.svarint());
-    ck.diag.batch_samples.resize(read_count(r));
-    for (std::size_t& n : ck.diag.batch_samples)
-        n = static_cast<std::size_t>(r.varint());
-    ck.has_cluster = r.bool8();
-    if (ck.has_cluster) {
-        ck.cluster.calibrated.x = r.f64();
-        ck.cluster.calibrated.y = r.f64();
-        ck.cluster.combined_confidence = r.f64();
-        ck.cluster.members.resize(read_count(r));
-        for (auto& m : ck.cluster.members) m = r.varint();
-        ck.cluster.rejected = static_cast<std::size_t>(r.varint());
-    }
-    return r.ok();
+template <class Ar>
+void io(Ar& a, Field<Ar, ShardEpochRecord> sr) {
+    a.varint(sr.events_drained);
+    a.varint(sr.clients_visited);
+    a.varint(sr.sessions_live);
+    a.varint(sr.sessions_no_fit);
+    a.f64(sr.wall_us);
+}
+
+template <class Ar>
+void io(Ar& a, Field<Ar, EpochRecord> er) {
+    a.u64(er.epoch);
+    a.f64(er.horizon);
+    io(a, er.delta);
+    a.varint(er.snapshot_rows);
+    a.varint(er.sessions_live);
+    a.varint(er.sessions_no_fit);
+    io(a, er.staleness_s);
+    a.f64(er.wall_epoch_us);
+    io_seq(a, er.shards);
 }
 
 }  // namespace
@@ -505,6 +490,7 @@ struct CheckpointCodec {
 
         {
             wire::ByteWriter meta;
+            Writer w(meta);
             meta.u32(kCkptFormat);
             meta.u64(config_digest(svc.cfg_));
             meta.u64(svc.epoch_);
@@ -514,49 +500,31 @@ struct CheckpointCodec {
             // Two merged stats views plus the recorder baseline. Restore
             // reconstructs per-shard state from these three alone — see
             // restore() below for the algebra.
-            put_stats(meta, svc.merged_stats(/*barrier_view=*/true));
-            put_stats(meta, svc.merged_stats(/*barrier_view=*/false));
-            put_stats(meta, svc.last_record_stats_);
+            io(w, svc.merged_stats(/*barrier_view=*/true));
+            io(w, svc.merged_stats(/*barrier_view=*/false));
+            io(w, svc.last_record_stats_);
             meta.varint(fleet.size());
             log.section("meta", meta.data());
         }
 
         {
             wire::ByteWriter rec;
-            const FlightRecorder& fr = svc.recorder_;
-            rec.varint(fr.epochs_recorded());
-            const std::vector<EpochRecord> records = fr.records();
-            rec.varint(records.size());
-            for (const EpochRecord& er : records) {
-                rec.u64(er.epoch);
-                rec.f64(er.horizon);
-                put_stats(rec, er.delta);
-                rec.varint(er.snapshot_rows);
-                rec.varint(er.sessions_live);
-                rec.varint(er.sessions_no_fit);
-                put_sketch(rec, er.staleness_s);
-                rec.f64(er.wall_epoch_us);
-                rec.varint(er.shards.size());
-                for (const ShardEpochRecord& sr : er.shards) {
-                    rec.varint(sr.events_drained);
-                    rec.varint(sr.clients_visited);
-                    rec.varint(sr.sessions_live);
-                    rec.varint(sr.sessions_no_fit);
-                    rec.f64(sr.wall_us);
-                }
-            }
+            Writer w(rec);
+            rec.varint(svc.recorder_.epochs_recorded());
+            const std::vector<EpochRecord> records = svc.recorder_.records();
+            io_seq(w, records);
             log.section("recorder", rec.data());
         }
 
         for (const ClientRef& ref : fleet) {
             wire::ByteWriter c;
+            Writer w(c);
             c.varint(ref.id);
             const auto qit = ref.shard->ingest_.find(ref.id);
             c.bool8(qit != ref.shard->ingest_.end());
             if (qit != ref.shard->ingest_.end()) {
                 const Shard::IngestQueue& q = qit->second;
-                c.varint(q.buf.size());
-                for (const Event& e : q.buf) put_event(c, e);
+                io_seq(w, q.buf);
                 c.f64(q.last_event_t);
                 c.bool8(q.has_event_t);
             }
@@ -564,19 +532,13 @@ struct CheckpointCodec {
             c.bool8(cit != ref.shard->clients_.end());
             if (cit != ref.shard->clients_.end()) {
                 const Shard::ClientState& cs = cit->second;
-                c.varint(cs.path.size());
-                for (const auto& tp : cs.path) {
-                    c.f64(tp.t);
-                    c.f64(tp.position.x);
-                    c.f64(tp.position.y);
-                }
+                io_seq(w, cs.path);
                 c.varint(cs.path_cursor);
                 c.bool8(cs.open_batches);
-                c.varint(cs.sessions.size());
-                for (const auto& [beacon, session] : cs.sessions) {
-                    c.varint(beacon);
-                    put_session(c, session.export_ckpt());
-                }
+                w.seq(cs.sessions, [&](const auto& entry) {
+                    c.varint(entry.first);
+                    io(w, entry.second.export_ckpt());
+                });
             }
             log.section("client", c.data());
         }
@@ -606,6 +568,7 @@ struct CheckpointCodec {
             frame.section_name != "meta")
             fail(wire::WireStatus::malformed, "first frame is not meta");
         wire::ByteReader meta(frame.section_body);
+        Reader mr(meta);
         if (meta.u32() != kCkptFormat)
             fail(wire::WireStatus::unknown_version,
                  "unknown checkpoint format");
@@ -616,9 +579,10 @@ struct CheckpointCodec {
         const bool has_horizon = meta.bool8();
         const double horizon = meta.f64();
         const double epoch_horizon = meta.f64();
-        const IngestStats barrier = get_stats(meta);
-        const IngestStats live = get_stats(meta);
-        const IngestStats last_record = get_stats(meta);
+        IngestStats barrier, live, last_record;
+        io(mr, barrier);
+        io(mr, live);
+        io(mr, last_record);
         const std::uint64_t client_count = meta.varint();
         if (!meta.ok()) fail(wire::WireStatus::malformed, "meta section");
 
@@ -630,26 +594,10 @@ struct CheckpointCodec {
             fail(wire::WireStatus::malformed, "second frame is not recorder");
         {
             wire::ByteReader rr(frame.section_body);
+            Reader r(rr);
             const std::uint64_t epochs_recorded = rr.varint();
-            std::vector<EpochRecord> records(read_count(rr));
-            for (EpochRecord& er : records) {
-                er.epoch = rr.u64();
-                er.horizon = rr.f64();
-                er.delta = get_stats(rr);
-                er.snapshot_rows = rr.varint();
-                er.sessions_live = rr.varint();
-                er.sessions_no_fit = rr.varint();
-                get_sketch(rr, er.staleness_s);
-                er.wall_epoch_us = rr.f64();
-                er.shards.resize(read_count(rr));
-                for (ShardEpochRecord& sr : er.shards) {
-                    sr.events_drained = rr.varint();
-                    sr.clients_visited = rr.varint();
-                    sr.sessions_live = rr.varint();
-                    sr.sessions_no_fit = rr.varint();
-                    sr.wall_us = rr.f64();
-                }
-            }
+            std::vector<EpochRecord> records;
+            io_seq(r, records);
             if (!rr.ok()) fail(wire::WireStatus::malformed, "recorder section");
             svc.recorder_.restore(std::move(records), epochs_recorded);
         }
@@ -665,6 +613,7 @@ struct CheckpointCodec {
                 frame.section_name != "client")
                 fail(wire::WireStatus::malformed, "unexpected section");
             wire::ByteReader cr(frame.section_body);
+            Reader r(cr);
             const ClientId id = cr.varint();
             Shard& shard = *svc.shards_[shard_of(id, nshards)];
             if (cr.bool8()) {
@@ -672,13 +621,7 @@ struct CheckpointCodec {
                 if (!fresh)
                     fail(wire::WireStatus::malformed, "duplicate client");
                 Shard::IngestQueue& q = qit->second;
-                const std::size_t nbuf = read_count(cr);
-                for (std::size_t i = 0; i < nbuf; ++i) {
-                    Event e;
-                    if (!get_event(cr, e))
-                        fail(wire::WireStatus::malformed, "client queue event");
-                    q.buf.push_back(e);
-                }
+                io_seq(r, q.buf);
                 q.last_event_t = cr.f64();
                 q.has_event_t = cr.bool8();
             }
@@ -687,21 +630,17 @@ struct CheckpointCodec {
                 if (!fresh)
                     fail(wire::WireStatus::malformed, "duplicate client");
                 Shard::ClientState& cs = cit->second;
-                cs.path.resize(read_count(cr));
-                for (auto& tp : cs.path) {
-                    tp.t = cr.f64();
-                    tp.position.x = cr.f64();
-                    tp.position.y = cr.f64();
-                }
+                io_seq(r, cs.path);
                 cs.path_cursor = static_cast<std::size_t>(cr.varint());
                 cs.open_batches = cr.bool8();
-                const std::size_t nsessions = read_count(cr);
+                const std::size_t nsessions = r.count();
                 const core::EnvAware* env =
                     svc.envaware_ ? &*svc.envaware_ : nullptr;
                 for (std::size_t i = 0; i < nsessions; ++i) {
                     const BeaconId beacon = cr.varint();
                     TrackingSession::Ckpt ck;
-                    if (!get_session(cr, ck))
+                    io(r, ck);
+                    if (!cr.ok())
                         fail(wire::WireStatus::malformed, "session state");
                     auto [sit, created] = cs.sessions.try_emplace(
                         beacon, svc.cfg_.shard.session, env,

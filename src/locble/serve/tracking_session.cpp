@@ -1,37 +1,26 @@
 #include "locble/serve/tracking_session.hpp"
 
-#include <cmath>
-#include <stdexcept>
-
 #include "locble/obs/obs.hpp"
 
 namespace locble::serve {
 
 TrackingSession::TrackingSession(const Config& cfg, const core::EnvAware* envaware,
                                  IngestStats* stats)
-    : cfg_(cfg), stats_(stats), anf_(cfg.pipeline.anf), solver_(cfg.pipeline.solver),
-      session_(solver_) {
-    if (cfg_.pipeline.use_envaware) {
-        if (envaware == nullptr || !envaware->trained())
-            throw std::invalid_argument(
-                "TrackingSession: use_envaware requires a trained EnvAware");
-        env_ = *envaware;  // own copy: the regime tracker is per-session state
-        env_->reset_stream();
-    }
-}
+    : cfg_(cfg), stats_(stats), anf_(cfg.pipeline.anf),
+      tracker_(cfg_.pipeline, envaware) {}
 
 double TrackingSession::pose_lag_s() const {
     return cfg_.pipeline.use_anf ? anf_.group_delay_s() : 0.0;
 }
 
 void TrackingSession::on_adv(double t, double rssi_dbm, double p, double q) {
-    if (!started_) {
-        started_ = true;
-        batch_end_ = t + cfg_.pipeline.batch_seconds;
+    if (!st_.started) {
+        st_.started = true;
+        st_.batch_end = t + cfg_.pipeline.batch_seconds;
     }
-    while (t > batch_end_) {
+    while (t > st_.batch_end) {
         flush_batch();
-        batch_end_ += cfg_.pipeline.batch_seconds;
+        st_.batch_end += cfg_.pipeline.batch_seconds;
     }
     // Causal ANF: one pass per sample, never revisited (the offline
     // pipeline zero-phase filters the whole capture instead).
@@ -41,210 +30,85 @@ void TrackingSession::on_adv(double t, double rssi_dbm, double p, double q) {
     fused.p = p;
     fused.q = q;
     fused.rssi = denoised;
-    fused.segment = segment_;
-    batch_raw_.push_back(rssi_dbm);
-    batch_fused_.push_back(fused);
-    ++samples_seen_;
-    last_event_t_ = t;
-    snap_dirty_ = true;  // samples_seen / last_event_t are snapshot fields
+    fused.segment = tracker_.state().segment;
+    st_.batch_raw.push_back(rssi_dbm);
+    st_.batch_fused.push_back(fused);
+    ++st_.samples_seen;
+    st_.last_event_t = t;
+    st_.snap_dirty = true;  // samples_seen / last_event_t are snapshot fields
 }
 
 void TrackingSession::finish_epoch(double horizon) {
-    while (started_ && horizon > batch_end_) {
+    while (st_.started && horizon > st_.batch_end) {
         flush_batch();
-        batch_end_ += cfg_.pipeline.batch_seconds;
+        st_.batch_end += cfg_.pipeline.batch_seconds;
     }
-    if (dirty_ && !cfg_.solve_per_flush) solve_now();
+    if (st_.dirty && !cfg_.solve_per_flush) solve_now();
 }
 
 void TrackingSession::reset_regression() {
-    session_.reset();
-    segment_ = 0;
-    restarts_ = 0;
-    samples_used_ = 0;
-    has_fit_ = false;
-    has_cluster_ = false;
-    saw_blocked_ = false;
-    band_min_ = 10.0;
-    band_max_ = 0.0;
-    ++resets_;
-    epoch_changed_ = true;
-    snap_dirty_ = true;
+    tracker_.reset();
+    st_.has_cluster = false;
+    ++st_.resets;
+    st_.epoch_changed = true;
+    st_.snap_dirty = true;
     if (stats_ != nullptr) ++stats_->sessions_reset;
     LOCBLE_COUNT("serve.sessions.reset", 1);
 }
 
 void TrackingSession::flush_batch() {
-    if (batch_raw_.empty()) return;
+    if (st_.batch_raw.empty()) return;
     if (stats_ != nullptr) ++stats_->batches_flushed;
     LOCBLE_COUNT("serve.batches", 1);
-    LOCBLE_HISTOGRAM("serve.batch.samples", batch_raw_.size(), 2.0, 4.0, 8.0, 16.0,
+    LOCBLE_HISTOGRAM("serve.batch.samples", st_.batch_raw.size(), 2.0, 4.0, 8.0, 16.0,
                      32.0, 64.0);
-    diag_.batch_samples.push_back(batch_raw_.size());
 
-    // EnvAware sees the raw batch (it learns from fluctuation statistics
-    // the filter erases); a regime flip only restarts the regression when
-    // the received level actually jumped — same rule as the offline
-    // pipeline (core/pipeline.cpp).
-    bool restart = false;
-    if (cfg_.pipeline.use_envaware && env_ && batch_raw_.size() >= 4) {
-        const auto obs = env_->observe(batch_raw_);
-        diag_.envaware_windows += 1;
-        if (obs.window_class != channel::PropagationClass::los) saw_blocked_ = true;
-        regime_ = obs.regime;
-        restart = obs.changed;
-    }
-    if (regime_ && cfg_.pipeline.use_regime_bands) {
-        const auto band = core::exponent_band_for(*regime_);
-        band_min_ = std::min(band_min_, band.first);
-        band_max_ = std::max(band_max_, band.second);
-    }
-    double batch_mean = 0.0;
-    for (const double v : batch_raw_) batch_mean += v;
-    batch_mean /= static_cast<double>(batch_raw_.size());
-    const bool level_jumped =
-        have_prev_batch_ && std::abs(batch_mean - prev_batch_mean_) > 4.0;
-    prev_batch_mean_ = batch_mean;
-    have_prev_batch_ = true;
-
-    if (restart && level_jumped && cfg_.pipeline.restart_on_change) {
+    if (tracker_.observe(st_.batch_raw).env_changed) {
         if (cfg_.reset_on_env_change) {
             // Lifecycle policy: forget the old environment's regression
             // entirely (allocation-free — Session::reset keeps capacity).
             reset_regression();
         } else {
-            ++segment_;
-            ++restarts_;
-            snap_dirty_ = true;
+            tracker_.open_segment();
+            st_.snap_dirty = true;
             LOCBLE_COUNT("serve.regression_restarts", 1);
         }
     }
     if (cfg_.max_session_samples > 0 &&
-        session_.size() + batch_fused_.size() > cfg_.max_session_samples)
+        tracker_.size() + st_.batch_fused.size() > cfg_.max_session_samples)
         reset_regression();
 
-    for (auto& s : batch_fused_) s.segment = segment_;
-    session_.add(batch_fused_);
-    dirty_ = true;
-
-    batch_raw_.clear();
-    batch_fused_.clear();
+    tracker_.add(st_.batch_fused);
+    st_.dirty = true;
+    st_.batch_raw.clear();
+    st_.batch_fused.clear();
     if (cfg_.solve_per_flush) solve_now();
 }
 
 void TrackingSession::solve_now() {
-    core::SolveHints hints;
-    // The regime's exponent band applies only while one regime covered the
-    // whole (current) regression; mixed-regime data keeps the full range.
-    if (cfg_.pipeline.use_regime_bands && band_max_ > band_min_ && restarts_ == 0)
-        hints.exponent_band = {{band_min_, band_max_}};
-    if (cfg_.pipeline.gamma_prior_dbm) {
-        double below = cfg_.pipeline.gamma_prior_below_db;
-        if (saw_blocked_ && cfg_.pipeline.use_regime_bands) below += 14.0;
-        hints.gamma_band_dbm = {*cfg_.pipeline.gamma_prior_dbm - below,
-                                *cfg_.pipeline.gamma_prior_dbm +
-                                    cfg_.pipeline.gamma_prior_above_db};
-    }
-
-    core::SolveDiagnostics sd;
     if (stats_ != nullptr) ++stats_->solves;
     LOCBLE_COUNT("serve.solves", 1);
-    if (session_.solve_into(fit_, hints, &sd)) {
-        has_fit_ = true;
-        samples_used_ = session_.size();
-        epoch_changed_ = true;
-        snap_dirty_ = true;
+    if (tracker_.solve()) {
+        st_.epoch_changed = true;
+        st_.snap_dirty = true;
     }
-    diag_.solver_calls += 1;
-    diag_.solver_candidates += sd.exponent_candidates;
-    diag_.solver_failures += sd.candidate_failures;
-    diag_.solver_multistarts += sd.multistart_runs;
-    diag_.solver_warm_starts += sd.warm_starts;
-    if (!sd.converged) diag_.convergence_failures += 1;
-    dirty_ = false;
+    st_.dirty = false;
 }
 
 TrackingSession::Ckpt TrackingSession::export_ckpt() const {
-    Ckpt ck;
-    ck.anf = anf_.checkpoint_state();
-    if (env_) {
-        ck.has_env = true;
-        ck.env = env_->stream_state();
-    }
-    ck.samples = session_.samples();
-    ck.warm_grid = session_.workspace().export_warm_grid();
-    ck.started = started_;
-    ck.batch_end = batch_end_;
-    ck.last_event_t = last_event_t_;
-    ck.batch_raw = batch_raw_;
-    ck.batch_fused = batch_fused_;
-    ck.segment = segment_;
-    ck.restarts = restarts_;
-    ck.resets = resets_;
-    if (regime_) {
-        ck.has_regime = true;
-        ck.regime = *regime_;
-    }
-    ck.band_min = band_min_;
-    ck.band_max = band_max_;
-    ck.saw_blocked = saw_blocked_;
-    ck.prev_batch_mean = prev_batch_mean_;
-    ck.have_prev_batch = have_prev_batch_;
-    ck.dirty = dirty_;
-    ck.epoch_changed = epoch_changed_;
-    ck.snap_dirty = snap_dirty_;
-    ck.dirty_listed = dirty_listed_;
-    ck.has_fit = has_fit_;
-    if (has_fit_) ck.fit = fit_;
-    ck.samples_used = samples_used_;
-    ck.samples_seen = samples_seen_;
-    ck.diag = diag_;
-    ck.has_cluster = has_cluster_;
-    if (has_cluster_) ck.cluster = cluster_;
-    return ck;
+    return {anf_.checkpoint_state(), tracker_.export_ckpt(), st_};
 }
 
 void TrackingSession::import_ckpt(const Ckpt& ck) {
     anf_.restore_state(ck.anf);
-    if (ck.has_env && env_) env_->restore_stream(ck.env);
-    // Re-adding the samples rebuilds every incremental solver fold
-    // bit-identically (exhaustive mode is exact by the Session contract;
-    // coarse_to_fine additionally needs the warm grid installed below).
-    session_.reset();
-    session_.add(ck.samples);
-    session_.workspace().import_warm_grid(ck.warm_grid);
-    started_ = ck.started;
-    batch_end_ = ck.batch_end;
-    last_event_t_ = ck.last_event_t;
-    batch_raw_ = ck.batch_raw;
-    batch_fused_ = ck.batch_fused;
-    segment_ = ck.segment;
-    restarts_ = ck.restarts;
-    resets_ = ck.resets;
-    regime_.reset();
-    if (ck.has_regime) regime_ = ck.regime;
-    band_min_ = ck.band_min;
-    band_max_ = ck.band_max;
-    saw_blocked_ = ck.saw_blocked;
-    prev_batch_mean_ = ck.prev_batch_mean;
-    have_prev_batch_ = ck.have_prev_batch;
-    dirty_ = ck.dirty;
-    epoch_changed_ = ck.epoch_changed;
-    snap_dirty_ = ck.snap_dirty;
-    dirty_listed_ = ck.dirty_listed;
-    has_fit_ = ck.has_fit;
-    fit_ = ck.fit;
-    samples_used_ = static_cast<std::size_t>(ck.samples_used);
-    samples_seen_ = static_cast<std::size_t>(ck.samples_seen);
-    diag_ = ck.diag;
-    has_cluster_ = ck.has_cluster;
-    cluster_ = ck.cluster;
+    tracker_.import_ckpt(ck.tracker);
+    st_ = ck.session;
 }
 
 locble::TimeSeries TrackingSession::rss_series() const {
     locble::TimeSeries out;
-    out.reserve(session_.size());
-    for (const auto& s : session_.samples()) out.push_back({s.t, s.rssi});
+    out.reserve(tracker_.size());
+    for (const auto& s : tracker_.samples()) out.push_back({s.t, s.rssi});
     return out;
 }
 

@@ -1,22 +1,20 @@
 #pragma once
 
-#include <cstdint>
-#include <optional>
+#include <cstddef>
 #include <vector>
 
 #include "locble/core/clustering.hpp"
-#include "locble/core/envaware.hpp"
-#include "locble/core/location_solver.hpp"
 #include "locble/core/pipeline.hpp"
+#include "locble/core/regression_tracker.hpp"
 #include "locble/dsp/anf.hpp"
 #include "locble/serve/stats.hpp"
 
 namespace locble::serve {
 
-/// Streaming per-(client, beacon) tracking chain: causal ANF denoising,
-/// per-batch EnvAware regime tracking, and an incremental warm-started
-/// LocationSolver::Session — the online counterpart of the offline
-/// core::LocBle pipeline (Sec. 5.3, Algorithm 1).
+/// Streaming per-(client, beacon) tracking chain: causal ANF denoising
+/// feeding core::RegressionTracker — the same Algorithm-1 batch step
+/// (Sec. 5.3) the offline core::LocBle pipeline runs, with its EnvAware
+/// regime tracking and incremental warm-started LocationSolver::Session.
 ///
 /// Two deliberate differences from the offline pipeline, documented in
 /// docs/SERVING.md: the ANF runs causally (a service cannot zero-phase
@@ -55,10 +53,11 @@ public:
     };
 
     /// `envaware` must be a trained model when cfg.pipeline.use_envaware is
-    /// set; the session keeps its own copy (the regime tracker carries
-    /// per-session streaming state). When `stats` is non-null the session
-    /// bumps the shard's batches_flushed / solves / sessions_reset counters
-    /// there, so the totals survive the session's own eviction.
+    /// set (std::invalid_argument otherwise); the session keeps its own
+    /// copy (the regime tracker carries per-session streaming state).
+    /// When `stats` is non-null the session bumps the shard's
+    /// batches_flushed / solves / sessions_reset counters there, so the
+    /// totals survive the session's own eviction.
     TrackingSession(const Config& cfg, const core::EnvAware* envaware,
                     IngestStats* stats = nullptr);
 
@@ -80,52 +79,54 @@ public:
     /// the causal ANF chain's group delay (0 when the ANF is disabled).
     double pose_lag_s() const;
 
-    bool has_fit() const { return has_fit_; }
-    const core::LocationFit& fit() const { return fit_; }
-    std::size_t samples_used() const { return samples_used_; }
-    std::size_t samples_seen() const { return samples_seen_; }
-    int regression_restarts() const { return restarts_; }
-    int resets() const { return resets_; }
-    double last_event_t() const { return last_event_t_; }
-    const core::LocateResult::Diagnostics& diagnostics() const { return diag_; }
+    bool has_fit() const { return tracker_.state().has_fit; }
+    const core::LocationFit& fit() const { return tracker_.state().fit; }
+    std::size_t samples_used() const { return tracker_.state().samples_used; }
+    std::size_t samples_seen() const { return st_.samples_seen; }
+    int regression_restarts() const { return tracker_.state().restarts; }
+    int resets() const { return st_.resets; }
+    double last_event_t() const { return st_.last_event_t; }
+    const core::LocateResult::Diagnostics& diagnostics() const {
+        return tracker_.state().diag;
+    }
 
     /// The accumulated (denoised) RSS stream of the current regression —
     /// the trend signal the clustering stage compares across co-located
     /// beacons. Timestamped like the input events.
     locble::TimeSeries rss_series() const;
 
-    bool has_cluster() const { return has_cluster_; }
-    const core::ClusterCalibration& cluster() const { return cluster_; }
+    bool has_cluster() const { return st_.has_cluster; }
+    const core::ClusterCalibration& cluster() const { return st_.cluster; }
     void set_cluster(const core::ClusterCalibration& c) {
-        cluster_ = c;
-        has_cluster_ = true;
-        snap_dirty_ = true;
+        st_.cluster = c;
+        st_.has_cluster = true;
+        st_.snap_dirty = true;
     }
 
     /// Did finish_epoch()/on_adv() change the fit since the last
     /// epoch_changed() reset? The shard uses this to re-run clustering only
     /// for clients that actually moved.
     bool take_epoch_changed() {
-        const bool c = epoch_changed_;
-        epoch_changed_ = false;
+        const bool c = st_.epoch_changed;
+        st_.epoch_changed = false;
         return c;
     }
 
     /// Does the session still hold samples in an un-flushed batch window?
     /// The shard uses this to keep visiting otherwise-idle clients until
     /// their last open batch has closed and solved.
-    bool has_open_batch() const { return !batch_raw_.empty(); }
+    bool has_open_batch() const { return !st_.batch_raw.empty(); }
 
     /// Snapshot dirty tracking (incremental snapshots, docs/SERVING.md):
     /// `snapshot_dirty()` is true when any field of the session's snapshot
     /// row changed since the last time a snapshot cleared it; the shard's
     /// per-epoch dirty list dedupes entries with `dirty_listed()`.
-    bool snapshot_dirty() const { return snap_dirty_; }
-    bool dirty_listed() const { return dirty_listed_; }
-    void mark_dirty_listed() { dirty_listed_ = true; }
+    bool snapshot_dirty() const { return st_.snap_dirty; }
+    bool dirty_listed() const { return st_.dirty_listed; }
+    void mark_dirty_listed() { st_.dirty_listed = true; }
     void clear_snapshot_dirty() {
-        snap_dirty_ = false;
-        dirty_listed_ = false;
+        st_.snap_dirty = false;
+        st_.dirty_listed = false;
     }
 
     /// Re-point the shard-stats sink after a shard migration
@@ -133,42 +134,31 @@ public:
     /// with the old shard's totals, which the service retires.
     void rebind_stats(IngestStats* stats) { stats_ = stats; }
 
-    /// Complete serializable state of a session (service checkpointing,
-    /// docs/WIRE.md). The solver's incremental per-grid-point folds are NOT
-    /// here: import re-adds `samples` to a fresh Session, which rebuilds
-    /// them bit-identically (they are left-to-right folds of the append-only
-    /// stream); only the warm-start grid — genuine history — is carried.
-    struct Ckpt {
-        dsp::Anf::State anf{};
-        bool has_env{false};
-        core::EnvAware::StreamState env{};
-        std::vector<core::FusedSample> samples;
-        core::SolverWorkspace::WarmGrid warm_grid{};
+    /// The session's own state around the shared regression step: the
+    /// batch window, lifecycle and snapshot flags, and the cluster result.
+    struct State {
         bool started{false};
         double batch_end{0.0};
         double last_event_t{0.0};
         std::vector<double> batch_raw;
         std::vector<core::FusedSample> batch_fused;
-        int segment{0};
-        int restarts{0};
         int resets{0};
-        bool has_regime{false};
-        channel::PropagationClass regime{};
-        double band_min{10.0}, band_max{0.0};
-        bool saw_blocked{false};
-        double prev_batch_mean{0.0};
-        bool have_prev_batch{false};
-        bool dirty{false};
+        bool dirty{false};  ///< samples added since the last solve
         bool epoch_changed{false};
+        // A fresh session has a row to publish, so it is born snapshot-dirty.
         bool snap_dirty{true};
         bool dirty_listed{false};
-        bool has_fit{false};
-        core::LocationFit fit{};
-        std::uint64_t samples_used{0};
-        std::uint64_t samples_seen{0};
-        core::LocateResult::Diagnostics diag{};
+        std::size_t samples_seen{0};
         bool has_cluster{false};
         core::ClusterCalibration cluster{};
+    };
+
+    /// Complete serializable state of a session (service checkpointing,
+    /// docs/WIRE.md): three whole structs.
+    struct Ckpt {
+        dsp::Anf::State anf{};
+        core::RegressionTracker::Ckpt tracker{};
+        State session{};
     };
     Ckpt export_ckpt() const;
     /// Install checkpointed state into a freshly constructed session (same
@@ -185,38 +175,8 @@ private:
     Config cfg_;
     IngestStats* stats_{nullptr};
     dsp::Anf anf_;
-    std::optional<core::EnvAware> env_;
-    core::LocationSolver solver_;
-    core::LocationSolver::Session session_;
-
-    bool started_{false};
-    double batch_end_{0.0};
-    double last_event_t_{0.0};
-    std::vector<double> batch_raw_;
-    std::vector<core::FusedSample> batch_fused_;
-
-    int segment_{0};
-    int restarts_{0};
-    int resets_{0};
-    std::optional<channel::PropagationClass> regime_;
-    double band_min_{10.0}, band_max_{0.0};
-    bool saw_blocked_{false};
-    double prev_batch_mean_{0.0};
-    bool have_prev_batch_{false};
-
-    bool dirty_{false};
-    bool epoch_changed_{false};
-    // A fresh session has a row to publish, so it is born snapshot-dirty.
-    bool snap_dirty_{true};
-    bool dirty_listed_{false};
-    bool has_fit_{false};
-    core::LocationFit fit_;
-    std::size_t samples_used_{0};
-    std::size_t samples_seen_{0};
-    core::LocateResult::Diagnostics diag_;
-
-    bool has_cluster_{false};
-    core::ClusterCalibration cluster_;
+    core::RegressionTracker tracker_;
+    State st_;
 };
 
 }  // namespace locble::serve

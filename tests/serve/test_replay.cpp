@@ -10,13 +10,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "locble/serve/event.hpp"
 #include "locble/serve/service.hpp"
+#include "locble/sim/harness.hpp"
 #include "locble/sim/multi_client.hpp"
 #include "locble/sim/workload_log.hpp"
 #include "locble/wire/codec.hpp"
@@ -447,6 +450,45 @@ TEST(WireCheckpointTest, ForgedSegmentTagsAreMalformed) {
         } catch (const wire::WireError& e) {
             EXPECT_EQ(e.code(), wire::WireStatus::malformed);
         }
+    }
+}
+
+/// A checked-in format-1 checkpoint: the default service config with
+/// clustering on, coarse-to-fine search, EnvAware on and a -59 dBm Gamma
+/// prior, fed make_multi_client_workload(3 clients x 2 beacons, Table 1
+/// environment 6, seed 1) in 3 s epochs up to t = 9 s, with the events up
+/// to t = 10 s left queued. Six sessions with fits and cluster results,
+/// three of them multi-segment, open batches and queued events.
+TEST(WireCheckpointTest, Format1FixtureReencodesByteForByte) {
+    std::ifstream in(LOCBLE_SERVE_FIXTURES "/checkpoint_format1.bin", std::ios::binary);
+    ASSERT_TRUE(in) << "missing fixture";
+    const std::string fixture{std::istreambuf_iterator<char>(in),
+                              std::istreambuf_iterator<char>()};
+    ASSERT_GT(fixture.size(), 0u);
+
+    // Restore re-adds the samples and installs the fit verbatim, so only a
+    // change to the byte layout — not to the solver — can break this.
+    for (const unsigned shards : {1u, 3u}) {
+        TrackingService::Config cfg;
+        cfg.shards = shards;
+        cfg.threads = 1;
+        cfg.shard.enable_clustering = true;
+        cfg.shard.session.pipeline.gamma_prior_dbm = -59.0;
+        cfg.shard.session.pipeline.solver.search_mode =
+            core::LocationSolver::SearchMode::coarse_to_fine;
+        TrackingService svc(cfg, sim::shared_envaware());
+        svc.restore_checkpoint(fixture);
+        EXPECT_EQ(svc.checkpoint(), fixture) << shards << " shards";
+
+        const ServiceSnapshot snap = svc.snapshot(SnapshotMode::full);
+        ASSERT_EQ(snap.estimates.size(), 6u);
+        int multi_segment = 0;
+        for (const BeaconEstimate& e : snap.estimates) {
+            EXPECT_TRUE(e.has_fit);
+            EXPECT_TRUE(e.has_cluster);
+            multi_segment += e.regression_restarts > 0 ? 1 : 0;
+        }
+        EXPECT_EQ(multi_segment, 3);
     }
 }
 

@@ -37,8 +37,10 @@ std::string obs_canonical_text() {
     for (const auto& m : obs::Registry::global().snapshot()) {
         if (!m.deterministic) continue;
         out += m.name + " count=" + std::to_string(m.count);
-        for (const std::uint64_t b : m.buckets)
-            out += " " + std::to_string(b);
+        for (const std::uint64_t b : m.buckets) {
+            out += ' ';
+            out += std::to_string(b);
+        }
         out += "\n";
     }
     return out;

@@ -4,9 +4,15 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "locble/common/rng.hpp"
 #include "locble/core/envaware.hpp"
+#include "locble/core/pipeline.hpp"
+#include "locble/motion/dead_reckoning.hpp"
+#include "locble/sim/capture.hpp"
+#include "locble/sim/harness.hpp"
+#include "locble/sim/scenarios.hpp"
 
 namespace locble::serve {
 namespace {
@@ -135,6 +141,73 @@ TEST(TrackingSessionTest, EpochChangeFlagLatchesUntilTaken) {
     EXPECT_FALSE(s.take_epoch_changed());  // consumed
     s.finish_epoch(10.0);                  // nothing new arrived
     EXPECT_FALSE(s.take_epoch_changed());
+}
+
+/// Offline and serve run the same Algorithm-1 step: with the ANF off (the
+/// one stage that must differ — zero-phase vs causal) and the serve solve
+/// cadence set to the offline one, a TrackingSession fed a captured walk
+/// lands on exactly the LocBle::locate result, across the nine Table 1
+/// environments, EnvAware regime changes and segment restarts included.
+TEST(TrackingSessionTest, MatchesOfflinePipelineBitForBit) {
+    const sim::MeasurementConfig mcfg;
+    core::LocBle::Config pcfg = mcfg.pipeline;
+    pcfg.use_anf = false;
+    pcfg.gamma_prior_dbm = sim::BeaconPlacement{}.profile.measured_power_dbm;
+    ASSERT_TRUE(pcfg.use_envaware);
+    const core::EnvAware& env = sim::shared_envaware();
+    const core::LocBle offline(pcfg, env);
+    TrackingSession::Config scfg;
+    scfg.pipeline = pcfg;
+    scfg.solve_per_flush = true;
+
+    const sim::CaptureRunner runner(mcfg.capture);
+    const motion::DeadReckoner reckoner(mcfg.reckoner);
+    constexpr int kSeeds = 3;
+    int walks_with_restarts = 0;
+    for (int e = 1; e <= 9; ++e) {
+        const sim::Scenario sc = sim::scenario(e);
+        const imu::Trajectory path = sim::default_l_walk(sc, mcfg.lshape);
+        for (int seed = 0; seed < kSeeds; ++seed) {
+            SCOPED_TRACE("environment " + std::to_string(e) + " seed " +
+                         std::to_string(seed));
+            sim::BeaconPlacement target;
+            target.position = sc.default_beacon;
+            locble::Rng rng = locble::Rng::for_stream(
+                static_cast<std::uint64_t>(seed), static_cast<std::uint64_t>(e));
+            sim::WalkCapture cap = runner.run(sc.site, {target}, path, rng);
+            const locble::TimeSeries& rss = cap.rss[target.id];
+            ASSERT_FALSE(rss.empty());
+            const motion::MotionEstimate m = reckoner.track(cap.observer_imu);
+
+            const core::LocateResult want = offline.locate(rss, m);
+            TrackingSession got(scfg, &env);
+            for (const auto& s : rss) {
+                const locble::Vec2 obs = m.position_at(s.t);
+                got.on_adv(s.t, s.value, -obs.x, -obs.y);
+            }
+            got.finish_epoch(rss.back().t + 2.0 * pcfg.batch_seconds);
+
+            ASSERT_EQ(got.has_fit(), want.fit.has_value());
+            if (want.fit) {
+                EXPECT_EQ(got.fit().location.x, want.fit->location.x);
+                EXPECT_EQ(got.fit().location.y, want.fit->location.y);
+                EXPECT_EQ(got.fit().exponent, want.fit->exponent);
+                EXPECT_EQ(got.fit().gamma_dbm, want.fit->gamma_dbm);
+                EXPECT_EQ(got.fit().segment_gammas, want.fit->segment_gammas);
+            }
+            EXPECT_EQ(got.regression_restarts(), want.regression_restarts);
+            EXPECT_EQ(got.samples_used(), want.samples_used);
+            const auto& gd = got.diagnostics();
+            const auto& wd = want.diagnostics;
+            EXPECT_EQ(gd.solver_calls, wd.solver_calls);
+            EXPECT_EQ(gd.solver_candidates, wd.solver_candidates);
+            EXPECT_EQ(gd.envaware_windows, wd.envaware_windows);
+            EXPECT_EQ(gd.batch_samples, wd.batch_samples);
+            if (want.regression_restarts > 0) ++walks_with_restarts;
+        }
+    }
+    // The segment path must actually be exercised.
+    EXPECT_GT(walks_with_restarts, 0);
 }
 
 }  // namespace

@@ -175,7 +175,9 @@ std::string strip_comments_and_strings(const std::string& src) {
                     // R"<delim>( ... )<delim>"
                     std::size_t open = src.find('(', i + 2);
                     if (open == std::string::npos) { out[i] = c; break; }
-                    raw_close = ")" + src.substr(i + 2, open - (i + 2)) + "\"";
+                    raw_close = ')';
+                    raw_close += src.substr(i + 2, open - (i + 2));
+                    raw_close += '"';
                     out[i] = c;
                     i = open;  // literal body starts after '('
                     state = State::raw_string;
