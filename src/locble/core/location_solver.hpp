@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -372,8 +373,19 @@ public:
         /// fit converged.
         bool solve_into(LocationFit& out, const SolveHints& hints = {},
                         SolveDiagnostics* diag = nullptr) {
-            return solver_->solve_impl(samples_.data(), samples_.size(), hints, diag,
-                                       ws_, out, /*incremental=*/true);
+            return solve_into(samples_.size(), out, hints, diag);
+        }
+
+        /// Solve over the first `count` samples only (count <= size()). A
+        /// count below the previous solve's restarts the incremental
+        /// state, so in exhaustive mode the fit equals a cold solve over
+        /// that prefix.
+        bool solve_into(std::size_t count, LocationFit& out, const SolveHints& hints = {},
+                        SolveDiagnostics* diag = nullptr) {
+            if (count > samples_.size())
+                throw std::out_of_range("Session::solve_into: count exceeds size()");
+            return solver_->solve_impl(samples_.data(), count, hints, diag, ws_, out,
+                                       /*incremental=*/true);
         }
 
         SolverWorkspace& workspace() { return ws_; }

@@ -1,5 +1,8 @@
 #include "locble/core/pipeline.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <iterator>
 #include <stdexcept>
 
 #include "locble/core/regression_tracker.hpp"
@@ -41,19 +44,42 @@ LocateResult LocBle::run(const locble::TimeSeries& raw_rss,
     LOCBLE_COUNT("pipeline.locate_calls", 1);
     LOCBLE_COUNT("pipeline.samples_in", raw_rss.size());
 
+    // A sample with a non-finite time or RSSI would poison ANF and the
+    // solver (or, for the time, the batch clock): skip it, copying the
+    // capture only when there is one.
+    const auto finite = [](const locble::Sample& s) {
+        return std::isfinite(s.t) && std::isfinite(s.value);
+    };
+    locble::TimeSeries valid;
+    const locble::TimeSeries* rss = &raw_rss;
+    if (!std::all_of(raw_rss.begin(), raw_rss.end(), finite)) {
+        std::copy_if(raw_rss.begin(), raw_rss.end(), std::back_inserter(valid), finite);
+        LOCBLE_COUNT("pipeline.invalid_samples", raw_rss.size() - valid.size());
+        if (valid.empty()) return result;
+        rss = &valid;
+    }
+
     // ANF runs offline (zero-phase) over the recorded capture; the tracker's
     // EnvAware sees the raw batches.
     const dsp::Anf anf(cfg_.anf);
     locble::TimeSeries denoised_series;
-    if (cfg_.use_anf) denoised_series = anf.process_offline(raw_rss);
+    if (cfg_.use_anf) denoised_series = anf.process_offline(*rss);
     RegressionTracker tracker(cfg_, envaware_ ? &*envaware_ : nullptr);
 
-    const double t0 = raw_rss.front().t;
+    const double t0 = rss->front().t;
     double batch_end = t0 + cfg_.batch_seconds;
     std::vector<double> batch_raw;
     std::vector<FusedSample> batch_fused;
 
-    // Offline cadence: every flushed batch is re-solved at once.
+    // Algorithm 1 re-solves after every batch so a phone can show a live
+    // estimate; locate() returns only the last fit that converged. Each
+    // flush therefore records the regression size and the hints a solve
+    // would use then, and the solves run after the capture (below).
+    struct Flush {
+        std::size_t count;
+        SolveHints hints;
+    };
+    std::vector<Flush> flushes;
     auto flush_batch = [&]() {
         if (batch_raw.empty()) return;
         LOCBLE_COUNT("pipeline.batches", 1);
@@ -64,16 +90,23 @@ LocateResult LocBle::run(const locble::TimeSeries& raw_rss,
             LOCBLE_COUNT("pipeline.regression_restarts", 1);
         }
         tracker.add(batch_fused);
-        tracker.solve();
+        flushes.push_back({tracker.size(), tracker.hints()});
         batch_raw.clear();
         batch_fused.clear();
     };
 
-    for (std::size_t i = 0; i < raw_rss.size(); ++i) {
-        const auto& s = raw_rss[i];
-        while (s.t > batch_end) {
+    // Empty batches flush nothing, so a gap of any length costs at most
+    // kMaxBatchSteps steps of the batch clock: a longer gap (or one where
+    // a step no longer moves a double) restarts the clock at the sample,
+    // as the first sample starts it.
+    constexpr int kMaxBatchSteps = 64;
+    for (std::size_t i = 0; i < rss->size(); ++i) {
+        const auto& s = (*rss)[i];
+        if (s.t > batch_end) {
             flush_batch();
-            batch_end += cfg_.batch_seconds;
+            for (int step = 0; step < kMaxBatchSteps && s.t > batch_end; ++step)
+                batch_end += cfg_.batch_seconds;
+            if (s.t > batch_end) batch_end = s.t + cfg_.batch_seconds;
         }
         const double denoised = cfg_.use_anf ? denoised_series[i].value : s.value;
         // Match movement to the RSS sample by timestamp (Algo. 1 line 8).
@@ -89,6 +122,14 @@ LocateResult LocBle::run(const locble::TimeSeries& raw_rss,
         batch_fused.push_back(fused);
     }
     flush_batch();
+
+    // In exhaustive mode a Session solve equals a cold solve over the same
+    // samples, so solving the newest flush first, and an earlier one only
+    // while solves fail, leaves the fit, samples_used and has_fit that a
+    // solve after every batch leaves. coarse_to_fine has no earlier fits
+    // to warm-start from, so it runs one cold coarse solve.
+    for (auto f = flushes.rbegin(); f != flushes.rend(); ++f)
+        if (tracker.solve(f->count, f->hints)) break;
 
     const RegressionTracker::State& st = tracker.state();
     if (st.has_fit) result.fit = st.fit;

@@ -17,8 +17,10 @@ struct LocateResult {
     /// regardless of the locble::obs build/runtime switches — library users
     /// get solver and batching insight without linking the tracer.
     struct Diagnostics {
-        /// Regression solves: one per flushed batch offline; one per epoch
-        /// in serve (per flushed batch with solve_per_flush).
+        /// Regression solves that ran. Offline: one over the whole capture,
+        /// plus one per earlier batch tried, newest first, while solves
+        /// fail. Serve: one per epoch (per flushed batch with
+        /// solve_per_flush).
         int solver_calls{0};
         int solver_candidates{0};    ///< exponent grid points evaluated in total
         int solver_failures{0};      ///< grid points rejected (degenerate/implausible)
@@ -71,7 +73,7 @@ public:
 
     /// Locate a stationary target from the observer's RSS capture and
     /// dead-reckoned movement. RSS timestamps and the motion estimate must
-    /// share a clock.
+    /// share a clock. Samples with a non-finite time or RSSI are skipped.
     LocateResult locate(const locble::TimeSeries& raw_rss,
                         const motion::MotionEstimate& observer) const;
 

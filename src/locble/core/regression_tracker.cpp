@@ -70,7 +70,7 @@ void RegressionTracker::add(std::vector<FusedSample>& batch) {
     session_.add(batch);
 }
 
-bool RegressionTracker::solve() {
+SolveHints RegressionTracker::hints() const {
     SolveHints hints;
     // The regime's exponent band is applied only while one regime covered
     // the whole regression; mixed-regime data keeps the full range (the
@@ -87,12 +87,15 @@ bool RegressionTracker::solve() {
         hints.gamma_band_dbm = {*cfg_.gamma_prior_dbm - below,
                                 *cfg_.gamma_prior_dbm + cfg_.gamma_prior_above_db};
     }
+    return hints;
+}
 
+bool RegressionTracker::solve(std::size_t count, const SolveHints& hints) {
     SolveDiagnostics sd;
-    const bool solved = session_.solve_into(st_.fit, hints, &sd);
+    const bool solved = session_.solve_into(count, st_.fit, hints, &sd);
     if (solved) {
         st_.has_fit = true;
-        st_.samples_used = session_.size();
+        st_.samples_used = count;
     }
     auto& diag = st_.diag;
     diag.solver_calls += 1;

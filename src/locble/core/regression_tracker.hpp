@@ -80,8 +80,16 @@ public:
     void reset();
     /// Tag `batch` with the current segment and fold it into the session.
     void add(std::vector<FusedSample>& batch);
+    /// The exponent/Gamma hints for a solve over everything added so far.
+    /// They follow the band union, restarts and the blocked flag, so a
+    /// caller that solves later must record them now.
+    SolveHints hints() const;
+    /// Solve over the first `count` samples added, with `hints`; true when
+    /// a fit converged (the fit and `count` become the state's fit and
+    /// samples_used).
+    bool solve(std::size_t count, const SolveHints& hints);
     /// Re-solve over everything added; true when a fit converged.
-    bool solve();
+    bool solve() { return solve(size(), hints()); }
 
     const State& state() const { return st_; }
     std::size_t size() const { return session_.size(); }

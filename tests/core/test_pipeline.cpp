@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <stdexcept>
 
@@ -184,10 +185,10 @@ TEST(LocBleTest, DiagnosticsAccountForEveryBatchAndSolve) {
     ASSERT_TRUE(result.fit.has_value());
 
     const auto& d = result.diagnostics;
-    // One solve per flushed batch, and every input sample lands in exactly
-    // one batch.
-    EXPECT_EQ(d.solver_calls, static_cast<int>(d.batch_samples.size()));
-    EXPECT_GE(d.solver_calls, 3);  // 8 s walk in 2 s batches
+    // One solve for a walk whose full capture converges, and every input
+    // sample lands in exactly one batch.
+    EXPECT_EQ(d.solver_calls, 1);
+    EXPECT_GE(d.batch_samples.size(), 3u);  // 8 s walk in 2 s batches
     std::size_t batched = 0;
     for (const std::size_t n : d.batch_samples) batched += n;
     EXPECT_EQ(batched, rss.size());
@@ -207,6 +208,87 @@ TEST(LocBleTest, DiagnosticsReportConvergenceFailures) {
     EXPECT_FALSE(result.fit.has_value());
     EXPECT_EQ(result.diagnostics.solver_calls, result.diagnostics.convergence_failures);
     EXPECT_GE(result.diagnostics.convergence_failures, 1);
+}
+
+/// Exact equality of two locate() fits (both present).
+void expect_same_fit(const LocateResult& got, const LocateResult& want) {
+    ASSERT_TRUE(want.fit.has_value());
+    ASSERT_TRUE(got.fit.has_value());
+    EXPECT_EQ(got.fit->location.x, want.fit->location.x);
+    EXPECT_EQ(got.fit->location.y, want.fit->location.y);
+    EXPECT_EQ(got.fit->exponent, want.fit->exponent);
+    EXPECT_EQ(got.fit->gamma_dbm, want.fit->gamma_dbm);
+    EXPECT_EQ(got.samples_used, want.samples_used);
+}
+
+TEST(LocBleTest, FallsBackToTheNewestBatchThatConverges) {
+    // A last batch whose RSSI overflows every rho makes each solve that
+    // includes it fail; locate() must return the fit of the batches before
+    // it, as a solve after every batch would have left.
+    LocBle::Config cfg = no_env_config();
+    cfg.use_anf = false;  // keep the bad sample out of its neighbours
+    const LocBle pipeline(cfg);
+    const auto rss = rss_for({5.0, 2.5}, -59.0, 2.0, 1.0, 3);
+    const auto want = pipeline.locate(rss, ideal_l_motion());
+    auto bad = rss;
+    bad.push_back({9.0, -1e5});
+    const auto got = pipeline.locate(bad, ideal_l_motion());
+    expect_same_fit(got, want);
+    EXPECT_EQ(got.samples_used, rss.size());
+    EXPECT_EQ(got.diagnostics.batch_samples.size(), want.diagnostics.batch_samples.size() + 1);
+    EXPECT_EQ(got.diagnostics.solver_calls, 2);
+    EXPECT_EQ(got.diagnostics.convergence_failures, 1);
+}
+
+TEST(LocBleTest, SkipsSampleWithInfiniteTime) {
+    const LocBle pipeline(no_env_config());
+    const auto rss = rss_for({5.0, 2.5}, -59.0, 2.0, 1.0, 3);
+    auto bad = rss;
+    bad.insert(bad.begin() + 40, {std::numeric_limits<double>::infinity(), -60.0});
+    expect_same_fit(pipeline.locate(bad, ideal_l_motion()),
+                    pipeline.locate(rss, ideal_l_motion()));
+}
+
+TEST(LocBleTest, SkipsSampleWithNanTime) {
+    const LocBle pipeline(no_env_config());
+    const auto rss = rss_for({5.0, 2.5}, -59.0, 2.0, 1.0, 3);
+    auto bad = rss;
+    bad.insert(bad.begin() + 40, {std::numeric_limits<double>::quiet_NaN(), -60.0});
+    expect_same_fit(pipeline.locate(bad, ideal_l_motion()),
+                    pipeline.locate(rss, ideal_l_motion()));
+}
+
+TEST(LocBleTest, SkipsSampleWithNanRssi) {
+    const LocBle pipeline(no_env_config());
+    const auto rss = rss_for({5.0, 2.5}, -59.0, 2.0, 1.0, 3);
+    auto bad = rss;
+    bad.insert(bad.begin() + 40, {bad[40].t, std::numeric_limits<double>::quiet_NaN()});
+    expect_same_fit(pipeline.locate(bad, ideal_l_motion()),
+                    pipeline.locate(rss, ideal_l_motion()));
+}
+
+TEST(LocBleTest, FarFutureSampleOpensOneBatch) {
+    // At 1e18 s a 2 s step no longer moves the batch clock; the gap must
+    // still cost a bounded number of steps and open exactly one batch.
+    const LocBle pipeline(no_env_config());
+    const auto rss = rss_for({5.0, 2.5}, -59.0, 2.0, 1.0, 3);
+    auto bad = rss;
+    bad.push_back({1e18, rss.back().value});
+    const auto want = pipeline.locate(rss, ideal_l_motion());
+    const auto got = pipeline.locate(bad, ideal_l_motion());
+    ASSERT_TRUE(got.fit.has_value());
+    EXPECT_EQ(got.diagnostics.batch_samples.size(),
+              want.diagnostics.batch_samples.size() + 1);
+    EXPECT_EQ(got.diagnostics.batch_samples.back(), 1u);
+}
+
+TEST(LocBleTest, AllInvalidSamplesGiveNoFit) {
+    const LocBle pipeline(no_env_config());
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const locble::TimeSeries rss{{nan, -60.0}, {1.0, nan}};
+    const auto result = pipeline.locate(rss, ideal_l_motion());
+    EXPECT_FALSE(result.fit.has_value());
+    EXPECT_TRUE(result.diagnostics.batch_samples.empty());
 }
 
 }  // namespace

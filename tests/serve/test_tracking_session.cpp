@@ -164,6 +164,7 @@ TEST(TrackingSessionTest, MatchesOfflinePipelineBitForBit) {
     const motion::DeadReckoner reckoner(mcfg.reckoner);
     constexpr int kSeeds = 3;
     int walks_with_restarts = 0;
+    int walks_with_fallback = 0;
     for (int e = 1; e <= 9; ++e) {
         const sim::Scenario sc = sim::scenario(e);
         const imu::Trajectory path = sim::default_l_walk(sc, mcfg.lshape);
@@ -199,15 +200,22 @@ TEST(TrackingSessionTest, MatchesOfflinePipelineBitForBit) {
             EXPECT_EQ(got.samples_used(), want.samples_used);
             const auto& gd = got.diagnostics();
             const auto& wd = want.diagnostics;
-            EXPECT_EQ(gd.solver_calls, wd.solver_calls);
-            EXPECT_EQ(gd.solver_candidates, wd.solver_candidates);
+            // Offline solves the newest batch first and earlier ones only
+            // while solves fail; serve here solves after every batch.
+            EXPECT_GE(wd.solver_calls, 1);
+            EXPECT_LE(wd.solver_calls, gd.solver_calls);
+            EXPECT_GE(wd.solver_candidates, 1);
+            EXPECT_LE(wd.solver_candidates, gd.solver_candidates);
             EXPECT_EQ(gd.envaware_windows, wd.envaware_windows);
             EXPECT_EQ(gd.batch_samples, wd.batch_samples);
             if (want.regression_restarts > 0) ++walks_with_restarts;
+            if (wd.solver_calls > 1) ++walks_with_fallback;
         }
     }
-    // The segment path must actually be exercised.
+    // The segment path and offline's fall back to an earlier batch must
+    // actually be exercised.
     EXPECT_GT(walks_with_restarts, 0);
+    EXPECT_GT(walks_with_fallback, 0);
 }
 
 }  // namespace
