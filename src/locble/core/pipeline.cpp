@@ -95,18 +95,11 @@ LocateResult LocBle::run(const locble::TimeSeries& raw_rss,
         batch_fused.clear();
     };
 
-    // Empty batches flush nothing, so a gap of any length costs at most
-    // kMaxBatchSteps steps of the batch clock: a longer gap (or one where
-    // a step no longer moves a double) restarts the clock at the sample,
-    // as the first sample starts it.
-    constexpr int kMaxBatchSteps = 64;
     for (std::size_t i = 0; i < rss->size(); ++i) {
         const auto& s = (*rss)[i];
         if (s.t > batch_end) {
             flush_batch();
-            for (int step = 0; step < kMaxBatchSteps && s.t > batch_end; ++step)
-                batch_end += cfg_.batch_seconds;
-            if (s.t > batch_end) batch_end = s.t + cfg_.batch_seconds;
+            batch_end = next_batch_end(batch_end, s.t, cfg_.batch_seconds);
         }
         const double denoised = cfg_.use_anf ? denoised_series[i].value : s.value;
         // Match movement to the RSS sample by timestamp (Algo. 1 line 8).

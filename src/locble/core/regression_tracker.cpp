@@ -6,6 +6,13 @@
 
 namespace locble::core {
 
+double next_batch_end(double batch_end, double t, double batch_seconds) {
+    for (int step = 0; step < kMaxBatchSteps && t > batch_end; ++step)
+        batch_end += batch_seconds;
+    if (t > batch_end) batch_end = t + batch_seconds;
+    return batch_end;
+}
+
 RegressionTracker::RegressionTracker(const LocBle::Config& cfg, const EnvAware* envaware)
     : cfg_(cfg), solver_(cfg.solver), session_(solver_) {
     if (cfg_.use_envaware) {

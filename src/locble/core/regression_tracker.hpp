@@ -10,6 +10,17 @@
 
 namespace locble::core {
 
+/// Algorithm 1's batch clock, shared by LocBle::run and
+/// serve::TrackingSession: the end of the batch window that holds `t`,
+/// stepped on from `batch_end` by whole `batch_seconds` windows. Call it
+/// once `t > batch_end`, after flushing the window that closed. Empty
+/// windows flush nothing, so a gap costs at most kMaxBatchSteps steps: a
+/// longer gap, or one where a step no longer moves the double (1e18,
+/// +inf), restarts the clock at `t`, as the first sample starts it. With
+/// 2 s batches, gaps under 128 s step exactly as an unbounded loop would.
+inline constexpr int kMaxBatchSteps = 64;
+double next_batch_end(double batch_end, double t, double batch_seconds);
+
 /// Algorithm 1's per-batch regression step (Sec. 5.3), shared by the offline
 /// LocBle pipeline and the streaming serve::TrackingSession.
 ///

@@ -108,6 +108,11 @@ std::string FlightRecorder::to_json() const {
         out += ",\"max\":" + fmt(rec.staleness_s.max());
         out += "}";
         out += ",\"nd\":{\"wall_epoch_us\":" + fmt(rec.wall_epoch_us);
+        out += ",\"drain_us\":" + fmt(rec.drain_us);
+        out += ",\"solve_us\":" + fmt(rec.solve_us);
+        out += ",\"settle_us\":" + fmt(rec.settle_us);
+        out += ",\"worker_busy_max_us\":" + fmt(rec.worker_busy_max_us);
+        out += ",\"worker_busy_mean_us\":" + fmt(rec.worker_busy_mean_us);
         out += ",\"shards\":[";
         for (std::size_t s = 0; s < rec.shards.size(); ++s) {
             const ShardEpochRecord& sh = rec.shards[s];

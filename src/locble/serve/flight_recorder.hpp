@@ -20,13 +20,15 @@ struct ShardEpochRecord {
     std::uint64_t clients_visited{0};  ///< clients processed (incl. open-batch revisits)
     std::uint64_t sessions_live{0};    ///< live sessions at epoch end
     std::uint64_t sessions_no_fit{0};  ///< live sessions without a location fit
-    double wall_us{0.0};               ///< wall-clock shard epoch duration (ND)
+    /// Wall-clock work of the shard's epoch (ND): its drain and settle plus
+    /// the solves of its own sessions, on whichever worker ran them.
+    double wall_us{0.0};
 };
 
 /// One epoch of service history as the flight recorder keeps it.
 ///
-/// Everything except `wall_epoch_us` and the per-shard rows is event-time
-/// data merged by u64 sum / sketch-bucket sum / max — byte-identical for
+/// Everything except the wall-clock (ND) fields and the per-shard rows is
+/// event-time data merged by u64 sum / sketch-bucket sum / max — byte-identical for
 /// any shard/thread count. `delta` is this epoch's increment of the merged
 /// IngestStats (u64 subtraction of consecutive barrier views, exact).
 /// Staleness is the deterministic definition the ISSUE fixes: service
@@ -46,6 +48,14 @@ struct EpochRecord {
     obs::QuantileSketch staleness_s;
     double wall_epoch_us{0.0};  ///< wall-clock begin->barrier duration (ND)
     std::vector<ShardEpochRecord> shards;
+    /// Where the epoch's time went (ND), per phase from start to barrier,
+    /// and per worker the time spent running items rather than waiting
+    /// at the barriers. Not checkpointed: restored records read 0.
+    double drain_us{0.0};
+    double solve_us{0.0};
+    double settle_us{0.0};
+    double worker_busy_max_us{0.0};
+    double worker_busy_mean_us{0.0};
 };
 
 /// Fixed-capacity ring of per-epoch records — the service's black box.

@@ -13,6 +13,12 @@ namespace locble::serve {
 
 namespace {
 
+/// The epoch's phases, in PhasedRun order.
+constexpr unsigned kDrainPhase = 0;
+constexpr unsigned kSolvePhase = 1;
+constexpr unsigned kSettlePhase = 2;
+constexpr unsigned kPhases = 3;
+
 /// Round-trip-exact double formatting for the canonical snapshot text.
 std::string fmt(double v) {
     char buf[40];
@@ -175,6 +181,12 @@ std::string status_json(const ServiceStatus& s) {
     out += "\"epoch_wall_p50_us\":" + fmt(s.epoch_wall_p50_us);
     out += ",\"epoch_wall_p99_us\":" + fmt(s.epoch_wall_p99_us);
     out += ",\"epoch_wall_max_us\":" + fmt(s.epoch_wall_max_us);
+    out += ",\"phase_p50_us\":{";
+    out += "\"drain\":" + fmt(s.drain_p50_us);
+    out += ",\"solve\":" + fmt(s.solve_p50_us);
+    out += ",\"settle\":" + fmt(s.settle_p50_us);
+    out += "}";
+    out += ",\"worker_busy_imbalance_p50\":" + fmt(s.worker_busy_imbalance_p50);
     out += "}}\n";
     return out;
 }
@@ -251,49 +263,55 @@ std::uint64_t TrackingService::begin_epoch() {
         for (const auto& s : shards_) queued += s->inbox_events();
         LOCBLE_TRACE_COUNTER("serve.queue_depth", queued);
     }
-    if (!pool_) {
-        LOCBLE_SPAN("serve.epoch");
-        for (auto& s : shards_) s->process_epoch();
-        finalize_epoch_record();
+    // The three phases, on exactly threads_ workers (the pool runs them
+    // all at once) or inline. Which worker runs which item never matters:
+    // a shard's drain and settle, and a session's solve, are pure
+    // functions of their own state, and the barriers order the phases.
+    runtime::PhasedRun::Work work;
+    work.phases = kPhases;
+    work.items = [this](unsigned phase) { return phase_items(phase); };
+    work.run = [this](unsigned phase, std::size_t i) { run_phase_item(phase, i); };
+    epoch_run_.start(pool_ ? &*pool_ : nullptr, threads_, std::move(work),
+                     recorder_.enabled());
+    if (pool_) {
+        in_flight_ = true;
         return epoch_;
     }
-    in_flight_ = true;
-    next_shard_.store(0, std::memory_order_relaxed);
-    const std::size_t workers =
-        std::min<std::size_t>(threads_, shards_.size());
-    inflight_.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-        inflight_.push_back(pool_->submit([this] {
-            // Dynamic shard scheduling; which worker runs which shard never
-            // matters because a shard's epoch is a pure function of its own
-            // state.
-            for (;;) {
-                const std::size_t i =
-                    next_shard_.fetch_add(1, std::memory_order_relaxed);
-                if (i >= shards_.size()) return;
-                shards_[i]->process_epoch();
-            }
-        }));
-    }
+    epoch_run_.wait();  // inline: the epoch already ran in start()
+    finalize_epoch_record();
     return epoch_;
+}
+
+std::size_t TrackingService::phase_items(unsigned phase) {
+    if (phase != kSolvePhase) return shards_.size();
+    // Gather every shard's queued solves into one list, largest first, so
+    // the longest solves start first and the short ones fill the gaps.
+    // Results do not depend on this order; only the phase's wall time does.
+    solve_list_.clear();
+    for (auto& s : shards_)
+        for (Shard::SolveItem& item : s->solve_items()) solve_list_.push_back(&item);
+    std::sort(solve_list_.begin(), solve_list_.end(),
+              [](const Shard::SolveItem* a, const Shard::SolveItem* b) {
+                  return a->samples > b->samples;
+              });
+    return solve_list_.size();
+}
+
+void TrackingService::run_phase_item(unsigned phase, std::size_t i) {
+    switch (phase) {
+        case kDrainPhase: shards_[i]->drain(); break;
+        case kSolvePhase: solve_list_[i]->run(recorder_.enabled()); break;
+        default: shards_[i]->settle(); break;
+    }
 }
 
 void TrackingService::end_epoch() {
     if (!in_flight_) return;
     LOCBLE_SPAN("serve.epoch.barrier");
-    // Drain every worker before rethrowing, so a failure still leaves the
-    // service quiescent (no worker left touching shard state).
-    std::exception_ptr first;
-    for (auto& f : inflight_) {
-        try {
-            f.get();
-        } catch (...) {
-            if (!first) first = std::current_exception();
-        }
-    }
-    inflight_.clear();
+    // wait() joins every worker before it rethrows, so a failure still
+    // leaves the service quiescent (no worker left touching shard state).
     in_flight_ = false;
-    if (first) std::rethrow_exception(first);
+    epoch_run_.wait();
     finalize_epoch_record();
 }
 
@@ -316,6 +334,15 @@ void TrackingService::finalize_epoch_record() {
     rec.wall_epoch_us = std::chrono::duration<double, std::micro>(
                             std::chrono::steady_clock::now() - epoch_t0_)
                             .count();
+    const runtime::PhasedRun::Timing& timing = epoch_run_.timing();
+    rec.drain_us = timing.phase_us[kDrainPhase];
+    rec.solve_us = timing.phase_us[kSolvePhase];
+    rec.settle_us = timing.phase_us[kSettlePhase];
+    for (const double busy : timing.busy_us) {
+        rec.worker_busy_max_us = std::max(rec.worker_busy_max_us, busy);
+        rec.worker_busy_mean_us += busy;
+    }
+    rec.worker_busy_mean_us /= static_cast<double>(timing.busy_us.size());
     LOCBLE_TRACE_COUNTER("serve.live_sessions", rec.sessions_live);
     recorder_.push(std::move(rec));
 }
@@ -394,8 +421,7 @@ ServiceStatus TrackingService::status() const {
     if (window == 0) return st;  // nothing recorded: all zero, health ok
 
     obs::QuantileSketch staleness;
-    std::vector<double> walls;
-    walls.reserve(window);
+    std::vector<double> walls, drains, solves, settles, imbalance;
     for (std::size_t i = recs.size() - window; i < recs.size(); ++i) {
         const EpochRecord& r = recs[i];
         st.window_submitted += r.delta.submitted;
@@ -403,6 +429,11 @@ ServiceStatus TrackingService::status() const {
         st.window_rejected += r.delta.rejected;
         st.window_clients_evicted += r.delta.clients_evicted;
         walls.push_back(r.wall_epoch_us);
+        drains.push_back(r.drain_us);
+        solves.push_back(r.solve_us);
+        settles.push_back(r.settle_us);
+        if (r.worker_busy_mean_us > 0.0)
+            imbalance.push_back(r.worker_busy_max_us / r.worker_busy_mean_us);
     }
     // Point-in-time fields come from the newest record; staleness quantiles
     // likewise describe the fleet *now* (the deterministic sketch merged
@@ -440,6 +471,10 @@ ServiceStatus TrackingService::status() const {
     st.epoch_wall_p50_us = nearest_rank(walls, 0.50);
     st.epoch_wall_p99_us = nearest_rank(walls, 0.99);
     st.epoch_wall_max_us = walls.empty() ? 0.0 : walls.back();
+    st.drain_p50_us = nearest_rank(drains, 0.50);
+    st.solve_p50_us = nearest_rank(solves, 0.50);
+    st.settle_p50_us = nearest_rank(settles, 0.50);
+    st.worker_busy_imbalance_p50 = nearest_rank(imbalance, 0.50);
     return st;
 }
 

@@ -1,8 +1,6 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <optional>
 #include <string>
@@ -12,6 +10,7 @@
 #include <chrono>
 
 #include "locble/core/envaware.hpp"
+#include "locble/runtime/phased_run.hpp"
 #include "locble/runtime/thread_pool.hpp"
 #include "locble/serve/event.hpp"
 #include "locble/serve/flight_recorder.hpp"
@@ -94,7 +93,7 @@ struct StatusThresholds {
 };
 
 /// Rolling-window health report assembled from the flight recorder. Every
-/// field except the `epoch_wall_*` wall-clock percentiles derives from
+/// field except the wall-clock (ND) ones at the end derives from
 /// event-time u64/sketch data, so the deterministic half of status_json()
 /// is byte-identical for any shard/thread count.
 struct ServiceStatus {
@@ -123,13 +122,22 @@ struct ServiceStatus {
     double epoch_wall_p50_us{0.0};
     double epoch_wall_p99_us{0.0};
     double epoch_wall_max_us{0.0};
+    /// Window medians of the epoch's drain / solve / settle phase walls.
+    double drain_p50_us{0.0};
+    double solve_p50_us{0.0};
+    double settle_p50_us{0.0};
+    /// Window median of the per-epoch worker busy max/mean: 1 when every
+    /// worker ran items for the same time (epochs without worker timings,
+    /// such as restored records, are skipped).
+    double worker_busy_imbalance_p50{0.0};
 };
 
 /// Versioned JSON form of a status report, shaped for determinism tooling:
 /// {"schema_version":1,"deterministic":{...},"nd":{...}} — the
 /// "deterministic" object must be byte-identical across shard/thread
 /// counts (CI diffs it at 1 vs 8 shards); "nd" holds the wall-clock epoch
-/// percentiles. Doubles print %.17g (round-trip exact).
+/// percentiles, phase medians and worker balance. Doubles print %.17g
+/// (round-trip exact).
 std::string status_json(const ServiceStatus& status);
 
 /// Sharded multi-client tracking service with a pipelined epoch loop (the
@@ -137,7 +145,12 @@ std::string status_json(const ServiceStatus& status);
 ///
 /// Sessions are sharded by a consistent (rendezvous) hash of the client id
 /// (shard_of); a shard owns its clients exclusively, so the epoch hot path
-/// takes no locks. The driver thread runs either the classic phased loop
+/// takes no locks. Each epoch runs in three phases with a barrier between
+/// them: drain (per shard: ingest, batch closing, queue the due solves),
+/// solve (every queued session, from one epoch-wide work list ordered
+/// largest first, on any worker), settle (per shard: clustering, dirty
+/// lists, evictions, telemetry). The driver thread runs either the
+/// classic phased loop
 ///
 ///   submit(events...);   // ingest: route into double-buffered queues
 ///   run_epoch();         // swap + drain every shard, barrier at the end
@@ -168,7 +181,7 @@ public:
         /// Number of shards (0 is taken as 1). More shards means finer
         /// parallelism; results never change.
         unsigned shards{1};
-        /// Worker threads driving shard epochs: 0 means one per shard,
+        /// Worker threads driving the epoch phases: 0 means one per shard,
         /// otherwise capped at the shard count. 1 runs epochs inline on the
         /// calling thread with no pool at all (begin_epoch then completes
         /// the epoch synchronously).
@@ -222,14 +235,18 @@ public:
     void submit(const std::vector<Event>& events);
 
     /// Swap every shard's ingest buffers, apply eviction decisions, and
-    /// launch the shard workers; returns the epoch index now in flight.
+    /// launch the epoch workers; returns the epoch index now in flight.
     /// With a single worker thread the epoch completes inline before
-    /// returning (end_epoch is then a no-op). Throws std::logic_error if an
-    /// epoch is already in flight.
+    /// returning (end_epoch is then a no-op), and a failure of the epoch
+    /// rethrows from here. Throws std::logic_error if an epoch is already
+    /// in flight.
     std::uint64_t begin_epoch();
 
-    /// Barrier: wait for every shard worker launched by begin_epoch().
-    /// No-op when no epoch is in flight.
+    /// Barrier: wait for every worker launched by begin_epoch(). No-op when
+    /// no epoch is in flight. If a work item threw, the first failure by
+    /// (phase, index) rethrows here once every worker has stopped, so the
+    /// service is quiescent; that epoch's results are then incomplete and
+    /// it is not recorded.
     void end_epoch();
 
     /// begin_epoch() + end_epoch(): the phase-separated driver loop.
@@ -300,6 +317,10 @@ private:
     /// inline at the end of begin_epoch() when there is no pool, otherwise
     /// from end_epoch() after every worker joined).
     void finalize_epoch_record();
+    /// The epoch's phases as PhasedRun sees them: item counts (the solve
+    /// phase's work list is gathered and ordered here) and item bodies.
+    std::size_t phase_items(unsigned phase);
+    void run_phase_item(unsigned phase, std::size_t index);
 
     Config cfg_;
     std::optional<core::EnvAware> envaware_;
@@ -313,8 +334,11 @@ private:
     /// Horizon captured at the last begin_epoch(): what snapshots report.
     double epoch_horizon_{0.0};
     bool in_flight_{false};
-    std::vector<std::future<void>> inflight_;
-    std::atomic<std::size_t> next_shard_{0};
+    /// The solve phase's epoch-wide work list: every shard's queued solves,
+    /// largest first (longest-processing-time-first).
+    std::vector<Shard::SolveItem*> solve_list_;
+    /// Declared after pool_, so it is destroyed (and waits) first.
+    runtime::PhasedRun epoch_run_;
     /// Stats of shards dissolved by resize_shards().
     IngestStats retired_ingest_;
     IngestStats retired_epoch_;

@@ -80,8 +80,28 @@ void Shard::begin_epoch(double horizon) {
     for (const Delivery& d : inbox_) inbox_events_ += d.events.size();
 }
 
-void Shard::process_epoch() {
-    LOCBLE_SPAN("serve.shard.epoch");
+namespace {
+
+double us_since(std::chrono::steady_clock::time_point t0) {
+    return std::chrono::duration<double, std::micro>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+}
+
+}  // namespace
+
+void Shard::SolveItem::run(bool timed) {
+    if (!timed) {
+        session->solve();
+        return;
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    session->solve();
+    wall_us = us_since(t0);
+}
+
+void Shard::drain() {
+    LOCBLE_SPAN("serve.shard.drain");
     const double horizon = epoch_horizon_;
 
     // Telemetry is flight-recorder state, not obs: it stays on under
@@ -97,6 +117,8 @@ void Shard::process_epoch() {
             obs::QuantileSketch(cfg_.staleness_max_s, cfg_.staleness_resolution);
         t0 = std::chrono::steady_clock::now();
     }
+    visits_.clear();
+    solves_.clear();
 
     // Merge-walk the inbox (sorted by client id at the begin_epoch swap)
     // against the resident clients. A resident client with no
@@ -117,54 +139,27 @@ void Shard::process_epoch() {
                 continue;
             }
             if (telemetry) ++telem_.clients_visited;
-            process_client(id, it->second, nullptr, horizon);
+            drain_client(it->second, nullptr, horizon);
+            visits_.push_back({it, false});
             ++it;
             continue;
         }
 
         Delivery& del = inbox_[d++];
-        auto s = resident ? it : clients_.try_emplace(id).first;
+        const ClientIt s = resident ? it : clients_.try_emplace(id).first;
         if (resident) ++it;
         if (telemetry) {
             ++telem_.clients_visited;
             telem_.events_drained += del.events.size();
         }
-        process_client(id, s->second, &del.events, horizon);
-        if (del.evict) {
-            ClientState& c = s->second;
-            epoch_stats_.sessions_evicted += c.sessions.size();
-            ++epoch_stats_.clients_evicted;
-            live_sessions_ -= c.sessions.size();
-            LOCBLE_COUNT("serve.sessions.evicted",
-                         static_cast<std::uint64_t>(c.sessions.size()));
-            LOCBLE_COUNT("serve.clients.evicted", 1);
-            clients_.erase(s);
-        }
+        drain_client(s->second, &del.events, horizon);
+        visits_.push_back({s, del.evict});
     }
-
-    if (telemetry) {
-        // Staleness of every live session at the barrier: horizon minus the
-        // last event folded into the session — pure event time, so the
-        // merged sketch (bucket-sum across shards) is byte-identical for
-        // any shard count. The obs quantile mirrors it with fixed default
-        // bounds so --metrics reports see the same tail.
-        for (auto& [id, c] : clients_) {
-            for (auto& [beacon, sess] : c.sessions) {
-                const double stale = std::max(0.0, horizon - sess.last_event_t());
-                telem_.staleness_s.record(stale);
-                if (!sess.has_fit()) ++telem_.sessions_no_fit;
-                LOCBLE_QUANTILE("serve.staleness_s", stale, 120.0, 240u);
-            }
-        }
-        telem_.sessions_live = live_sessions_;
-        telem_.wall_us = std::chrono::duration<double, std::micro>(
-                             std::chrono::steady_clock::now() - t0)
-                             .count();
-    }
+    if (telemetry) telem_.wall_us += us_since(t0);
 }
 
-void Shard::process_client(ClientId id, ClientState& c,
-                           std::deque<Event>* events, double horizon) {
+void Shard::drain_client(ClientState& c, std::deque<Event>* events,
+                         double horizon) {
     // Drain the delivered buffer in arrival order. Poses extend the path;
     // advertisements are fused with the interpolated pose at the
     // group-delay-compensated pairing time and fed to the beacon's session.
@@ -201,17 +196,70 @@ void Shard::process_client(ClientId id, ClientState& c,
         }
     }
 
-    // Close batches up to the horizon and run the deferred warm-started
-    // solves; remember whether any fit moved for the clustering pass, and
-    // whether any batch window is still open (so the next epoch revisits).
-    bool changed = false;
+    // Close batches up to the horizon and queue the deferred warm-started
+    // solves, counted here so the count does not depend on which worker
+    // runs them; remember whether any batch window is still open (so the
+    // next epoch revisits).
     bool open = false;
     for (auto& [beacon, s] : c.sessions) {
-        s.finish_epoch(horizon);
-        if (s.take_epoch_changed()) changed = true;
+        s.close_batches(horizon);
+        if (s.needs_solve()) {
+            ++epoch_stats_.solves;
+            LOCBLE_COUNT("serve.solves", 1);
+            solves_.push_back({&s, s.regression_size(), 0.0});
+        }
         if (s.has_open_batch()) open = true;
     }
     c.open_batches = open;
+}
+
+void Shard::settle() {
+    LOCBLE_SPAN("serve.shard.settle");
+    const double horizon = epoch_horizon_;
+    const bool telemetry = cfg_.telemetry;
+    std::chrono::steady_clock::time_point t0;
+    if (telemetry) t0 = std::chrono::steady_clock::now();
+
+    for (const Visit& v : visits_) {
+        settle_client(v.client->first, v.client->second, horizon);
+        if (!v.evict) continue;
+        ClientState& c = v.client->second;
+        epoch_stats_.sessions_evicted += c.sessions.size();
+        ++epoch_stats_.clients_evicted;
+        live_sessions_ -= c.sessions.size();
+        LOCBLE_COUNT("serve.sessions.evicted",
+                     static_cast<std::uint64_t>(c.sessions.size()));
+        LOCBLE_COUNT("serve.clients.evicted", 1);
+        clients_.erase(v.client);
+    }
+    visits_.clear();
+
+    if (telemetry) {
+        // Staleness of every live session at the barrier: horizon minus the
+        // last event folded into the session — pure event time, so the
+        // merged sketch (bucket-sum across shards) is byte-identical for
+        // any shard count. The obs quantile mirrors it with fixed default
+        // bounds so --metrics reports see the same tail.
+        for (auto& [id, c] : clients_) {
+            for (auto& [beacon, sess] : c.sessions) {
+                const double stale = std::max(0.0, horizon - sess.last_event_t());
+                telem_.staleness_s.record(stale);
+                if (!sess.has_fit()) ++telem_.sessions_no_fit;
+                LOCBLE_QUANTILE("serve.staleness_s", stale, 120.0, 240u);
+            }
+        }
+        telem_.sessions_live = live_sessions_;
+        for (const SolveItem& item : solves_) telem_.wall_us += item.wall_us;
+        telem_.wall_us += us_since(t0);
+    }
+    solves_.clear();
+}
+
+void Shard::settle_client(ClientId id, ClientState& c, double horizon) {
+    // Re-run clustering only for clients whose fits moved this epoch.
+    bool changed = false;
+    for (auto& [beacon, s] : c.sessions)
+        if (s.take_epoch_changed()) changed = true;
     if (changed && cfg_.enable_clustering) run_clustering(c);
 
     // Record sessions whose snapshot row changed for the incremental
@@ -270,6 +318,8 @@ void Shard::migrate_into(std::vector<std::unique_ptr<Shard>>& dst,
     for (const auto& key : dirty_)
         dst[shard_of(key.first, n)]->dirty_.push_back(key);
     dirty_.clear();
+    visits_.clear();
+    solves_.clear();
     telem_ = EpochTelemetry{};
     inbox_events_ = 0;
     retired_ingest += ingest_stats_;

@@ -21,16 +21,21 @@ namespace locble::serve {
 /// per-beacon tracking sessions.
 ///
 /// Threading contract (docs/SERVING.md): state is split into two disjoint
-/// halves so ingest can overlap epoch execution.
+/// halves so ingest can overlap epoch execution, and the epoch runs in
+/// three phases separated by barriers (TrackingService::begin_epoch).
 ///
 ///  - *Ingest side* (`ingest_`, `ingest_stats_`) is touched only by the
 ///    driver thread, at any time — including while an epoch is in flight.
-///  - *Worker side* (`clients_`, `epoch_stats_`, `dirty_`) is touched only
-///    by the one worker thread running `process_epoch()`, and read at
-///    quiescent points (between epochs) for snapshots.
+///  - *Worker side* (`clients_`, `epoch_stats_`, `dirty_`, the epoch's
+///    visits and solve items) is touched by one worker running `drain()`
+///    and later one worker running `settle()`, and read at quiescent points
+///    (between epochs) for snapshots. In between, during the solve phase,
+///    each queued session is touched by exactly one worker — any one —
+///    through `SolveItem::run()`, and nothing else of the shard is. The
+///    barriers order the three phases.
 ///  - The handoff (`inbox_`, `epoch_horizon_`, `ingest_stats_at_swap_`) is
 ///    written by `begin_epoch()` on the driver thread while no epoch is in
-///    flight, then consumed by the worker; the epoch barrier orders the
+///    flight, then consumed by the drain; the epoch barrier orders the
 ///    two, so nothing is ever touched concurrently and the hot path takes
 ///    no locks.
 class Shard {
@@ -61,8 +66,8 @@ public:
         /// Collect per-epoch telemetry for the service flight recorder:
         /// event counts, a session-staleness quantile sketch, and the
         /// (wall-clock, ND) shard epoch duration. TrackingService sets this
-        /// from its flight_recorder_epochs; when false, process_epoch()
-        /// reads no clock and walks no sessions beyond its normal work.
+        /// from its flight_recorder_epochs; when false, the epoch reads no
+        /// clock and walks no sessions beyond its normal work.
         bool telemetry{false};
         /// Staleness sketch domain (0, max_s] split into `resolution`
         /// uniform buckets; sessions staler than the bound saturate the
@@ -95,10 +100,33 @@ public:
     /// snapshots.
     void begin_epoch(double horizon);
 
-    /// Drain the inbox, drive the tracking sessions, close batches up to
-    /// the swap horizon, solve, cluster, and apply the evictions decided at
-    /// the swap. Exactly one worker thread per epoch.
-    void process_epoch();
+    /// One session's deferred end-of-epoch solve, queued by drain().
+    struct SolveItem {
+        TrackingSession* session{nullptr};
+        /// Regression size when queued: the solve's cost, which the epoch
+        /// work list is ordered by (largest first).
+        std::size_t samples{0};
+        /// Wall-clock solve duration (ND), set by run() when timed; the
+        /// shard adds it to its own epoch wall time at settle().
+        double wall_us{0.0};
+        void run(bool timed);
+    };
+
+    /// Epoch phase 1 (one worker): drain the inbox in client-id order,
+    /// drive the tracking sessions and close batches up to the swap
+    /// horizon. Sessions whose deferred solve is due are counted in the
+    /// shard's solves and queued in solve_items(), in visit order.
+    void drain();
+
+    /// The solves drain() queued this epoch; the service runs them, on any
+    /// worker, between drain() and settle().
+    std::vector<SolveItem>& solve_items() { return solves_; }
+
+    /// Epoch phase 3 (one worker): for each client drain() visited, in
+    /// visit order, collect fit changes, cluster, append newly dirtied
+    /// sessions to the dirty list, prune pose history and apply the
+    /// eviction decided at the swap; then the epoch telemetry.
+    void settle();
 
     /// Live merged accounting: everything ingested and processed so far.
     /// Quiescent point required (the worker writes half of it mid-epoch).
@@ -138,7 +166,7 @@ public:
     std::size_t live_sessions() const { return live_sessions_; }
 
     /// Per-epoch telemetry for the service flight recorder, rebuilt by each
-    /// process_epoch() when Config::telemetry is set. Worker-side state:
+    /// drain()/settle() when Config::telemetry is set. Worker-side state:
     /// read at quiescent points only (the service reads it at the barrier).
     struct EpochTelemetry {
         std::uint64_t events_drained{0};
@@ -150,7 +178,11 @@ public:
         /// event-time-only definition. The sketch's max() is the exact
         /// per-shard maximum (merge by max, order-invariant).
         obs::QuantileSketch staleness_s;
-        double wall_us{0.0};  ///< wall-clock process_epoch duration (ND)
+        /// Wall-clock work of this shard's epoch (ND): drain + settle + the
+        /// solves of its own sessions, wherever they ran. Idle time at the
+        /// barriers is excluded, so max/mean across shards measures
+        /// placement skew, not the schedule.
+        double wall_us{0.0};
     };
     const EpochTelemetry& telemetry() const { return telem_; }
 
@@ -188,8 +220,17 @@ private:
         bool evict{false};  ///< idle-evict after processing (decided at swap)
     };
 
-    void process_client(ClientId id, ClientState& c, std::deque<Event>* events,
-                        double horizon);
+    using ClientIt = std::map<ClientId, ClientState>::iterator;
+
+    /// A client drain() visited, in visit order. Map iterators stay valid
+    /// across the inserts of later visits.
+    struct Visit {
+        ClientIt client;
+        bool evict{false};  ///< idle-evict at settle (decided at swap)
+    };
+
+    void drain_client(ClientState& c, std::deque<Event>* events, double horizon);
+    void settle_client(ClientId id, ClientState& c, double horizon);
     void run_clustering(ClientState& c);
     locble::Vec2 pose_at(ClientState& c, double t) const;
 
@@ -213,8 +254,10 @@ private:
     IngestStats ingest_stats_at_swap_;
     std::size_t inbox_events_{0};
 
-    // --- worker side (one worker thread per epoch) ---
+    // --- worker side (one worker thread per phase) ---
     std::map<ClientId, ClientState> clients_;
+    std::vector<Visit> visits_;
+    std::vector<SolveItem> solves_;
     IngestStats epoch_stats_;
     std::vector<std::pair<ClientId, BeaconId>> dirty_;
     std::size_t live_sessions_{0};

@@ -18,9 +18,10 @@ void TrackingSession::on_adv(double t, double rssi_dbm, double p, double q) {
         st_.started = true;
         st_.batch_end = t + cfg_.pipeline.batch_seconds;
     }
-    while (t > st_.batch_end) {
+    if (t > st_.batch_end) {
         flush_batch();
-        st_.batch_end += cfg_.pipeline.batch_seconds;
+        st_.batch_end =
+            core::next_batch_end(st_.batch_end, t, cfg_.pipeline.batch_seconds);
     }
     // Causal ANF: one pass per sample, never revisited (the offline
     // pipeline zero-phase filters the whole capture instead).
@@ -38,12 +39,12 @@ void TrackingSession::on_adv(double t, double rssi_dbm, double p, double q) {
     st_.snap_dirty = true;  // samples_seen / last_event_t are snapshot fields
 }
 
-void TrackingSession::finish_epoch(double horizon) {
-    while (st_.started && horizon > st_.batch_end) {
+void TrackingSession::close_batches(double horizon) {
+    if (st_.started && horizon > st_.batch_end) {
         flush_batch();
-        st_.batch_end += cfg_.pipeline.batch_seconds;
+        st_.batch_end = core::next_batch_end(st_.batch_end, horizon,
+                                             cfg_.pipeline.batch_seconds);
     }
-    if (st_.dirty && !cfg_.solve_per_flush) solve_now();
 }
 
 void TrackingSession::reset_regression() {
@@ -82,12 +83,14 @@ void TrackingSession::flush_batch() {
     st_.dirty = true;
     st_.batch_raw.clear();
     st_.batch_fused.clear();
-    if (cfg_.solve_per_flush) solve_now();
+    if (cfg_.solve_per_flush) {
+        if (stats_ != nullptr) ++stats_->solves;
+        LOCBLE_COUNT("serve.solves", 1);
+        solve();
+    }
 }
 
-void TrackingSession::solve_now() {
-    if (stats_ != nullptr) ++stats_->solves;
-    LOCBLE_COUNT("serve.solves", 1);
+void TrackingSession::solve() {
     if (tracker_.solve()) {
         st_.epoch_changed = true;
         st_.snap_dirty = true;

@@ -25,9 +25,10 @@ namespace locble::serve {
 /// the serve layer's batching win.
 ///
 /// Everything here is driven by event-stream time, never the wall clock,
-/// and by exactly one shard thread at a time, so a session's whole history
-/// is a pure function of its input events — identical whatever the shard
-/// or thread count.
+/// and by one thread at a time (its shard's worker, or for solve() any
+/// one worker between two epoch barriers), so a session's whole history is
+/// a pure function of its input events — identical whatever the shard or
+/// thread count.
 class TrackingSession {
 public:
     struct Config {
@@ -56,8 +57,9 @@ public:
     /// set (std::invalid_argument otherwise); the session keeps its own
     /// copy (the regime tracker carries per-session streaming state).
     /// When `stats` is non-null the session bumps the shard's
-    /// batches_flushed / solves / sessions_reset counters there, so the
-    /// totals survive the session's own eviction.
+    /// batches_flushed / sessions_reset counters (and, under
+    /// solve_per_flush, solves) there, so the totals survive the session's
+    /// own eviction.
     TrackingSession(const Config& cfg, const core::EnvAware* envaware,
                     IngestStats* stats = nullptr);
 
@@ -71,9 +73,19 @@ public:
     void on_adv(double t, double rssi_dbm, double p, double q);
 
     /// Close out the epoch at event-time `horizon`: flush every batch whose
-    /// window has passed, then (unless solve_per_flush already did) run one
-    /// warm-started incremental solve over everything accumulated.
-    void finish_epoch(double horizon);
+    /// window has passed. The deferred solve is separate (needs_solve /
+    /// solve) so the service can schedule it on any worker.
+    void close_batches(double horizon);
+
+    /// Samples were added since the last solve and solve_per_flush did not
+    /// already solve them: the epoch's deferred solve is due.
+    bool needs_solve() const { return st_.dirty && !cfg_.solve_per_flush; }
+
+    /// The deferred solve: one warm-started incremental solve over
+    /// everything accumulated. It touches only this session — never the
+    /// shard's stats, which count the solve when it is queued — so any one
+    /// worker may run it between the epoch's drain and settle barriers.
+    void solve();
 
     /// Pair poses this many seconds before the advertisement timestamp —
     /// the causal ANF chain's group delay (0 when the ANF is disabled).
@@ -83,6 +95,8 @@ public:
     const core::LocationFit& fit() const { return tracker_.state().fit; }
     std::size_t samples_used() const { return tracker_.state().samples_used; }
     std::size_t samples_seen() const { return st_.samples_seen; }
+    /// Samples in the current regression: what the next solve runs over.
+    std::size_t regression_size() const { return tracker_.size(); }
     int regression_restarts() const { return tracker_.state().restarts; }
     int resets() const { return st_.resets; }
     double last_event_t() const { return st_.last_event_t; }
@@ -103,8 +117,8 @@ public:
         st_.snap_dirty = true;
     }
 
-    /// Did finish_epoch()/on_adv() change the fit since the last
-    /// epoch_changed() reset? The shard uses this to re-run clustering only
+    /// Did solve()/on_adv() change the fit since the last
+    /// take_epoch_changed()? The shard uses this to re-run clustering only
     /// for clients that actually moved.
     bool take_epoch_changed() {
         const bool c = st_.epoch_changed;
@@ -169,7 +183,6 @@ public:
 
 private:
     void flush_batch();
-    void solve_now();
     void reset_regression();
 
     Config cfg_;

@@ -9,6 +9,7 @@
 
 #include "locble/common/cdf.hpp"
 #include "locble/common/rng.hpp"
+#include "locble/core/regression_tracker.hpp"
 
 namespace locble::core {
 namespace {
@@ -280,6 +281,24 @@ TEST(LocBleTest, FarFutureSampleOpensOneBatch) {
     EXPECT_EQ(got.diagnostics.batch_samples.size(),
               want.diagnostics.batch_samples.size() + 1);
     EXPECT_EQ(got.diagnostics.batch_samples.back(), 1u);
+}
+
+TEST(BatchClockTest, GapsUnderTheStepCapStepWholeBatches) {
+    // An unbounded loop's answer, for every gap the cap still covers.
+    for (const double gap : {0.5, 2.0, 3.9, 17.0, 127.5}) {
+        double want = 10.0;
+        while (10.0 + gap > want) want += 2.0;
+        EXPECT_EQ(next_batch_end(10.0, 10.0 + gap, 2.0), want) << gap;
+    }
+}
+
+TEST(BatchClockTest, LongOrUnrepresentableGapsRestartTheClock) {
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_EQ(next_batch_end(10.0, 10.0 + 200.0, 2.0), 212.0);
+    // A 2 s step no longer moves a double at 1e18, and never moves +inf.
+    EXPECT_EQ(next_batch_end(10.0, 1e18, 2.0), 1e18 + 2.0);
+    EXPECT_EQ(next_batch_end(10.0, inf, 2.0), inf);
+    EXPECT_GE(next_batch_end(1e18, 1e18 + 256.0, 2.0), 1e18 + 256.0);
 }
 
 TEST(LocBleTest, AllInvalidSamplesGiveNoFit) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "locble/core/envaware.hpp"
@@ -95,6 +96,40 @@ TEST(ServeLifecycleTest, SessionsPersistAcrossEpochsUntilIdle) {
     EXPECT_EQ(snap.stats.sessions_created, 1u);  // reused, not recreated
     EXPECT_EQ(snap.estimates[0].samples_seen, 75u);
     EXPECT_TRUE(snap.estimates[0].has_fit);
+}
+
+/// An L-walk (+x for 8 s, then +y for 8 s, 1 m/s, 10 Hz) past a beacon at
+/// (8, 4) with an epoch every 2 s, then one advertisement at `t_bad`. The
+/// batch clock must step over that gap in bounded time.
+void expect_epoch_survives_timestamp(double t_bad) {
+    TrackingService svc(base_config());
+    for (int i = 0; i <= 160; ++i) {
+        const double t = 0.1 * i;
+        const locble::Vec2 p = t <= 8.0 ? locble::Vec2{t, 0.0}
+                                        : locble::Vec2{8.0, t - 8.0};
+        svc.submit(pose_event(1, t, p));
+        const double dist = std::max(std::hypot(8.0 - p.x, 4.0 - p.y), 0.1);
+        svc.submit(adv_event(1, t, 42, -59.0 - 20.0 * std::log10(dist)));
+        if (i % 20 == 0) svc.run_epoch();
+    }
+    svc.run_epoch();
+    ASSERT_TRUE(svc.snapshot().estimates.at(0).has_fit);
+
+    svc.submit(adv_event(1, t_bad, 42, -60.0));
+    svc.run_epoch();  // returns: the far-future gap costs bounded steps
+    svc.submit(adv_event(1, 16.1, 42, -60.0));
+    svc.run_epoch();
+    const auto snap = svc.snapshot(SnapshotMode::full);
+    ASSERT_EQ(snap.estimates.size(), 1u);
+    EXPECT_EQ(snap.estimates[0].samples_seen, 163u);
+}
+
+TEST(ServeLifecycleTest, FarFutureTimestampDoesNotHangTheEpoch) {
+    expect_epoch_survives_timestamp(1e18);
+}
+
+TEST(ServeLifecycleTest, InfiniteTimestampDoesNotHangTheEpoch) {
+    expect_epoch_survives_timestamp(std::numeric_limits<double>::infinity());
 }
 
 TEST(ServeLifecycleTest, ResetOnEnvChangeRestartsTheRegression) {

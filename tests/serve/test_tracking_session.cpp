@@ -27,6 +27,13 @@ TrackingSession::Config clean_config() {
     return cfg;
 }
 
+/// End an epoch at `horizon` the way a shard does: close the batches, then
+/// run the deferred solve if one is due.
+void finish_epoch(TrackingSession& s, double horizon) {
+    s.close_batches(horizon);
+    if (s.needs_solve()) s.solve();
+}
+
 /// Feed a synthetic stationary-beacon walk: observer moves along +x at
 /// 1 m/s for `seconds`, beacon at `target` (observer frame), log-distance
 /// RSS with optional Gaussian noise.
@@ -49,7 +56,7 @@ void feed_walk(TrackingSession& s, const locble::Vec2& target, double seconds,
 TEST(TrackingSessionTest, RecoversStationaryBeaconFromStream) {
     TrackingSession s(clean_config(), nullptr);
     feed_walk(s, {5.0, 2.0}, 8.0, 0.0, 1);
-    s.finish_epoch(9.0);
+    finish_epoch(s, 9.0);
     ASSERT_TRUE(s.has_fit());
     EXPECT_NEAR(s.fit().location.x, 5.0, 0.5);
     EXPECT_NEAR(std::abs(s.fit().location.y), 2.0, 0.7);
@@ -63,7 +70,7 @@ TEST(TrackingSessionTest, EpochSplitIsInvisible) {
     // session contract: exhaustive warm solve == cold solve).
     TrackingSession one(clean_config(), nullptr);
     feed_walk(one, {4.0, 1.5}, 8.0, 1.0, 7);
-    one.finish_epoch(9.0);
+    finish_epoch(one, 9.0);
 
     TrackingSession split(clean_config(), nullptr);
     locble::Rng rng(7);
@@ -74,9 +81,9 @@ TEST(TrackingSessionTest, EpochSplitIsInvisible) {
             -59.0 - 20.0 * std::log10(dist) + rng.gaussian(0.0, 1.0);
         split.on_adv(t, rssi, -obs.x, -obs.y);
         // An epoch boundary after every single event — worst case.
-        split.finish_epoch(t);
+        finish_epoch(split, t);
     }
-    split.finish_epoch(9.0);
+    finish_epoch(split, 9.0);
 
     ASSERT_TRUE(one.has_fit());
     ASSERT_TRUE(split.has_fit());
@@ -94,8 +101,8 @@ TEST(TrackingSessionTest, SolvePerFlushMatchesDeferredFinalFit) {
     TrackingSession eager(cfg, nullptr);
     feed_walk(deferred, {5.0, 2.0}, 8.0, 1.0, 3);
     feed_walk(eager, {5.0, 2.0}, 8.0, 1.0, 3);
-    deferred.finish_epoch(9.0);
-    eager.finish_epoch(9.0);
+    finish_epoch(deferred, 9.0);
+    finish_epoch(eager, 9.0);
     ASSERT_TRUE(deferred.has_fit());
     ASSERT_TRUE(eager.has_fit());
     // Same samples, same final solve — the cadence changes cost, not state.
@@ -117,7 +124,7 @@ TEST(TrackingSessionTest, MaxSessionSamplesBoundsAndResets) {
     IngestStats stats;
     TrackingSession s(cfg, nullptr, &stats);
     feed_walk(s, {5.0, 2.0}, 8.0, 0.0, 1);  // 81 samples
-    s.finish_epoch(9.0);
+    finish_epoch(s, 9.0);
     EXPECT_GE(s.resets(), 1);
     EXPECT_LE(s.samples_used(), 30u);
     EXPECT_EQ(stats.sessions_reset, static_cast<std::uint64_t>(s.resets()));
@@ -136,10 +143,10 @@ TEST(TrackingSessionTest, EpochChangeFlagLatchesUntilTaken) {
     TrackingSession s(clean_config(), nullptr);
     EXPECT_FALSE(s.take_epoch_changed());
     feed_walk(s, {5.0, 2.0}, 8.0, 0.0, 1);
-    s.finish_epoch(9.0);
+    finish_epoch(s, 9.0);
     EXPECT_TRUE(s.take_epoch_changed());
     EXPECT_FALSE(s.take_epoch_changed());  // consumed
-    s.finish_epoch(10.0);                  // nothing new arrived
+    finish_epoch(s, 10.0);                  // nothing new arrived
     EXPECT_FALSE(s.take_epoch_changed());
 }
 
@@ -186,7 +193,7 @@ TEST(TrackingSessionTest, MatchesOfflinePipelineBitForBit) {
                 const locble::Vec2 obs = m.position_at(s.t);
                 got.on_adv(s.t, s.value, -obs.x, -obs.y);
             }
-            got.finish_epoch(rss.back().t + 2.0 * pcfg.batch_seconds);
+            finish_epoch(got, rss.back().t + 2.0 * pcfg.batch_seconds);
 
             ASSERT_EQ(got.has_fit(), want.fit.has_value());
             if (want.fit) {

@@ -9,7 +9,7 @@ const std::set<std::string>& entry_point_names() {
         // Trial execution (runtime::TrialRunner and friends).
         "run", "run_trials", "run_trial",
         // Serve epoch schedule and ingest (serve::TrackingService/Shard).
-        "run_epoch", "begin_epoch", "process_epoch", "end_epoch",
+        "run_epoch", "begin_epoch", "drain", "settle", "end_epoch",
         "swap_epoch", "enqueue", "submit", "ingest",
         // Result surfaces whose bytes the contract covers.
         "solve", "locate", "snapshot",

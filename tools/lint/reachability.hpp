@@ -28,7 +28,7 @@ namespace locble::lint {
 
 /// The deterministic entry-point names: trial execution
 /// (run/run_trials/run_trial), the serve epoch schedule
-/// (begin_epoch/process_epoch/end_epoch/run_epoch/swap_epoch), ingest
+/// (begin_epoch/drain/solve/settle/end_epoch/run_epoch/swap_epoch), ingest
 /// (enqueue/submit/ingest), result surfaces (solve/locate/snapshot) and
 /// the sim measurement harness entry points.
 const std::set<std::string>& entry_point_names();
