@@ -4,9 +4,10 @@
 // +11.3%); here we report the per-measurement compute cost of every
 // pipeline stage, each timed twice — obs disabled and obs fully enabled
 // (metrics + tracer) — interleaved rep by rep so frequency drift hits both
-// sides equally. The headline `overhead_ratio` scalar (min-on / min-off for
-// the full pipeline) backs the "<2% when enabled" claim; a results-identity
-// check backs "instrumentation never changes what the pipeline computes".
+// sides equally. The headline `overhead_ratio` scalar (median-on /
+// median-off over the paired reps of the full pipeline) backs the "<2%
+// when enabled" claim; a results-identity check backs "instrumentation
+// never changes what the pipeline computes".
 //
 // The serve_epoch stage (ISSUE 7) replays a small multi-client fleet
 // through the TrackingService with the epoch flight recorder on, so its
@@ -21,8 +22,8 @@
 #include <chrono>
 #include <cmath>
 #include <functional>
-#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -86,14 +87,32 @@ double time_iters(const std::function<void()>& body, int iters) {
 
 struct StageTiming {
     int iters{0};
-    double off_us{0.0};  ///< min per-call microseconds, obs disabled
-    double on_us{0.0};   ///< min per-call microseconds, obs enabled
-    double ratio{1.0};   ///< on/off
+    double off_us{0.0};  ///< median per-call microseconds, obs disabled
+    double on_us{0.0};   ///< median per-call microseconds, obs enabled
+    double ratio{1.0};   ///< on/off of the medians
 };
 
-/// Interleaved min-of-reps timing: per rep, time the stage obs-off then
-/// obs-on, keep the minimum of each side. Minima reject scheduler noise;
-/// interleaving rejects slow drift (thermal, frequency scaling).
+double median(std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    const std::size_t n = v.size();
+    return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
+/// Paired reps: per rep, time `off` then `on` back to back; returns the
+/// median seconds of each side. Pairing puts both sides in the same host
+/// speed phase, and the medians ignore the reps a phase change or a
+/// scheduler hiccup skews, which a single min-of-reps ratio does not.
+std::pair<double, double> paired_medians(const std::function<double()>& off,
+                                         const std::function<double()>& on, int reps) {
+    std::vector<double> offs, ons;
+    for (int rep = 0; rep < reps; ++rep) {
+        offs.push_back(off());
+        ons.push_back(on());
+    }
+    return {median(offs), median(ons)};
+}
+
+/// Interleaved paired timing of one stage, obs off then on per rep.
 StageTiming time_stage(const std::function<void()>& body, int reps) {
     // Calibrate the per-rep iteration count to ~2 ms so short stages are
     // measurable and long ones stay cheap.
@@ -105,18 +124,21 @@ StageTiming time_stage(const std::function<void()>& body, int reps) {
 
     StageTiming t;
     t.iters = iters;
-    double best_off = std::numeric_limits<double>::infinity();
-    double best_on = std::numeric_limits<double>::infinity();
-    for (int rep = 0; rep < reps; ++rep) {
-        set_obs(false);
-        best_off = std::min(best_off, time_iters(body, iters));
-        set_obs(true);
-        best_on = std::min(best_on, time_iters(body, iters));
-        set_obs(false);  // also drops the rep's accumulated trace events
-    }
-    t.off_us = best_off / iters * 1e6;
-    t.on_us = best_on / iters * 1e6;
-    t.ratio = best_on / best_off;
+    const auto [off, on] = paired_medians(
+        [&] {
+            set_obs(false);
+            return time_iters(body, iters);
+        },
+        [&] {
+            set_obs(true);
+            const double s = time_iters(body, iters);
+            set_obs(false);  // also drops the rep's accumulated trace events
+            return s;
+        },
+        reps);
+    t.off_us = off / iters * 1e6;
+    t.on_us = on / iters * 1e6;
+    t.ratio = on / off;
     return t;
 }
 
@@ -232,15 +254,12 @@ int main(int argc, char** argv) {
         if (key == "full_pipeline") pipeline_ratio = t.ratio;
     }
     // Flight-recorder cost: the identical serve pass with the recorder +
-    // epoch telemetry on vs off, obs disabled on both sides, interleaved
-    // min-of-reps (same noise rejection as time_stage).
+    // epoch telemetry on vs off, obs disabled on both sides, paired reps
+    // (same noise rejection as time_stage).
     set_obs(false);
-    double rec_off = std::numeric_limits<double>::infinity();
-    double rec_on = std::numeric_limits<double>::infinity();
-    for (int rep = 0; rep < reps; ++rep) {
-        rec_off = std::min(rec_off, time_iters([&] { serve_pass(0); }, 1));
-        rec_on = std::min(rec_on, time_iters([&] { serve_pass(64); }, 1));
-    }
+    const auto [rec_off, rec_on] =
+        paired_medians([&] { return time_iters([&] { serve_pass(0); }, 1); },
+                       [&] { return time_iters([&] { serve_pass(64); }, 1); }, reps);
     const double rec_ratio = rec_on / rec_off;
     std::printf("%-20s %10d %12.2f %12.2f %8.4f  (recorder off/on, obs off)\n",
                 "serve_recorder", 1, rec_off * 1e6, rec_on * 1e6, rec_ratio);

@@ -30,7 +30,7 @@ int main() {
     double err_sum = 0.0;
     const int runs = 5;
     for (int r = 0; r < runs; ++r) {
-        locble::Rng rng(600 + r * 17);
+        locble::Rng rng(static_cast<std::uint64_t>(600 + r * 17));
         const auto walk = sim::default_l_walk(lot);
         const sim::MeasurementOutcome out =
             sim::measure_moving(lot, colleague, walk, cfg, rng);

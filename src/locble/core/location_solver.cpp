@@ -2,188 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numbers>
 #include <stdexcept>
 
 #include "locble/common/linalg.hpp"
+#include "locble/core/location_solver_gn.hpp"
 #include "locble/obs/obs.hpp"
 
 namespace locble::core {
 
-namespace {
-
-constexpr double kLog10 = 2.302585092994046;
-
-using KernelMode = LocationSolver::Config::KernelMode;
-constexpr std::size_t kW = kernels::kLaneWidth;
-
-/// The sample stream as the kernels see it: the packed structure-of-arrays
-/// mirror (lanes mode), the AoS span (scalar_reference mode), and the
-/// segment runs tiling both. The pointers alias SolverWorkspace storage
-/// packed in solve_impl and cover the same `count` samples.
-struct SampleView {
-    const FusedSample* samples;
-    const double* p;
-    const double* q;
-    const double* rssi;
-    const SegmentRun* runs;
-    std::size_t run_count;
-    std::size_t count;
-    KernelMode mode;
-};
-
-/// Assemble ResidualStats from the kernel outputs (sum / sum-of-squares /
-/// centered second moment).
-ResidualStats residual_stats_from_moments(std::size_t count, double sum, double ss,
-                                          double m2) {
-    ResidualStats out;
-    out.mean_db = sum / static_cast<double>(count);
-    out.stddev_db = std::sqrt(m2 / static_cast<double>(count));
-    out.rms_db = std::sqrt(ss / static_cast<double>(count));
-    const double sigma = std::max(out.stddev_db, 1e-6);
-    out.confidence = std::exp(-(out.mean_db * out.mean_db) / (2.0 * sigma * sigma));
-    return out;
-}
-
-// Every sweep below visits the segment runs in stream order, calls one lane
-// kernel (or its scalar-reference twin) per run against that run's Gamma,
-// and folds the per-run sums in that fixed order. Lane accumulators start
-// at +0.0, so a reduced sum is never -0.0 and `0.0 + a == a` exactly: a
-// single-run (k == 1) walk gets the kernel's sums unchanged.
-
-/// Residual statistics with per-segment gammas. One prediction pass per run
-/// (residuals parked in `resid_buf`, sized >= count by the caller) plus one
-/// pass for the centered second moment — no allocation.
-ResidualStats residual_stats_kernel(const SampleView& v, const locble::Vec2& location,
-                                    double exponent, const double* gammas,
-                                    double* resid_buf) {
-    if (v.count == 0) return {};
-    double sum = 0.0, ss = 0.0;
-    for (std::size_t r = 0; r < v.run_count; ++r) {
-        const SegmentRun& run = v.runs[r];
-        const std::size_t b = run.begin;
-        const double g = gammas[run.seg];
-        double rs, rss;
-        if (v.mode == KernelMode::lanes)
-            kernels::residual2_lanes<kW>(v.p + b, v.q + b, v.rssi + b, run.len,
-                                         location.x, location.y, g, exponent,
-                                         resid_buf + b, rs, rss);
-        else
-            kernels::residual2_ref(v.samples + b, run.len, location.x, location.y, g,
-                                   exponent, resid_buf + b, rs, rss);
-        sum += rs;
-        ss += rss;
-    }
-    const double mean = sum / static_cast<double>(v.count);
-    const double m2 = v.mode == KernelMode::lanes
-                          ? kernels::centered_m2_lanes<kW>(resid_buf, v.count, mean)
-                          : kernels::centered_m2_ref(resid_buf, v.count, mean);
-    return residual_stats_from_moments(v.count, sum, ss, m2);
-}
-
-/// Gauss-Newton refinement of (x, h, Gamma_1..Gamma_k) at fixed exponent,
-/// minimizing the dB-domain residual — the maximum-likelihood objective
-/// under Gaussian RSS noise, with one power offset per environment segment
-/// (the paper's Gamma(e)). Gammas are projected into [gamma_min, gamma_max]
-/// each step.
-///
-/// Allocation-free: a sample's jacobian row has exactly three nonzeros
-/// (d/dx, d/dh and its segment's Gamma), so each run's lane-kernel sums
-/// land in the shared x/h rows plus that segment's Gamma row of the flat
-/// workspace JtJ/Jtr (jtj is dim*dim, jtr and delta are dim,
-/// caller-sized); the normal system is solved in place with
-/// solve_linear_flat.
-void refine_fit_db(double* jtj, double* jtr, double* delta, const SampleView& v,
-                   double exponent, locble::Vec2& location, double* gammas,
-                   std::size_t k, double gamma_min, double gamma_max) {
-    constexpr int kIterations = 12;
-    const std::size_t dim = 2 + k;
-    const double c = -10.0 * exponent / kLog10;
-    double x = location.x, h = location.y;
-    int sweeps = 0;
-    while (sweeps < kIterations) {
-        std::fill_n(jtj, dim * dim, 0.0);
-        std::fill_n(jtr, dim, 0.0);
-        for (std::size_t r = 0; r < v.run_count; ++r) {
-            const SegmentRun& run = v.runs[r];
-            const std::size_t b = run.begin;
-            const std::size_t g = 2 + static_cast<std::size_t>(run.seg);
-            kernels::GnSums2 sums;
-            if (v.mode == KernelMode::lanes)
-                kernels::gn2_lanes<kW>(v.p + b, v.q + b, v.rssi + b, run.len, x, h,
-                                       gammas[run.seg], exponent, c, sums);
-            else
-                kernels::gn2_ref(v.samples + b, run.len, x, h, gammas[run.seg],
-                                 exponent, c, sums);
-            // Upper triangle; mirrored once after the sweep.
-            jtj[0] += sums.a00;
-            jtj[1] += sums.a01;
-            jtj[g] += sums.a02;
-            jtj[dim + 1] += sums.a11;
-            jtj[dim + g] += sums.a12;
-            jtj[g * dim + g] += sums.a22;
-            jtr[0] += sums.r0;
-            jtr[1] += sums.r1;
-            jtr[g] += sums.r2;
-        }
-        for (std::size_t a = 0; a < dim; ++a)
-            for (std::size_t b = 0; b < a; ++b) jtj[a * dim + b] = jtj[b * dim + a];
-
-        // Levenberg damping keeps early steps conservative; a small ridge
-        // also guards segments with very few (or no) samples.
-        const double damping = 1e-6 + (sweeps < 3 ? 0.1 : 0.0);
-        ++sweeps;
-        for (std::size_t a = 0; a < dim; ++a)
-            jtj[a * dim + a] = jtj[a * dim + a] * (1.0 + damping) + 1e-9;
-
-        if (!locble::solve_linear_flat(jtj, jtr, delta, dim)) break;
-        x += delta[0];
-        h += delta[1];
-        double step = std::abs(delta[0]) + std::abs(delta[1]);
-        for (std::size_t s = 0; s < k; ++s) {
-            gammas[s] = std::clamp(gammas[s] + delta[2 + s], gamma_min, gamma_max);
-            step += std::abs(delta[2 + s]);
-        }
-        if (step < 1e-6) break;
-    }
-    LOCBLE_COUNT("solver.gn_iterations", sweeps);
-    location = {x, h};
-}
-
-/// Initialize per-segment gammas from a single-gamma seed: each segment's
-/// offset is the mean residual of its samples under the seed parameters.
-/// Writes k gammas into `gammas`; `sum`/`cnt` are caller-provided scratch
-/// of k entries each.
-void init_segment_gammas(double* sum, std::size_t* cnt, const SampleView& v,
-                         const locble::Vec2& location, double exponent,
-                         double gamma_seed, std::size_t k, double gamma_min,
-                         double gamma_max, double* gammas) {
-    std::fill_n(sum, k, 0.0);
-    std::fill_n(cnt, k, std::size_t{0});
-    for (std::size_t r = 0; r < v.run_count; ++r) {
-        const SegmentRun& run = v.runs[r];
-        const std::size_t b = run.begin;
-        sum[run.seg] +=
-            v.mode == KernelMode::lanes
-                ? kernels::seed_sum_lanes<kW>(v.p + b, v.q + b, v.rssi + b, run.len,
-                                              location.x, location.y, gamma_seed,
-                                              exponent)
-                : kernels::seed_sum_ref(v.samples + b, run.len, location.x,
-                                        location.y, gamma_seed, exponent);
-        cnt[run.seg] += run.len;
-    }
-    for (std::size_t s = 0; s < k; ++s) {
-        gammas[s] = gamma_seed;
-        if (cnt[s] > 0) gammas[s] += sum[s] / static_cast<double>(cnt[s]);
-        gammas[s] = std::clamp(gammas[s], gamma_min, gamma_max);
-    }
-}
-
-}  // namespace
-
 ResidualStats residual_stats(const std::vector<FusedSample>& samples,
                              const locble::Vec2& location, double exponent,
                              double gamma_dbm) {
+    if (samples.empty()) return {};
     std::vector<double> resid(samples.size());
     const double gammas[1] = {gamma_dbm};
     // No packed SoA mirror here; the scalar-reference twin reads the AoS
@@ -191,9 +21,10 @@ ResidualStats residual_stats(const std::vector<FusedSample>& samples,
     // internal scoring uses — so stats computed here EXPECT_EQ-match the
     // solver's reported residual_db for a single-segment fit.
     const SegmentRun all{0, samples.size(), 0};
-    const SampleView v{samples.data(), nullptr, nullptr, nullptr, &all, 1,
-                       samples.size(), KernelMode::scalar_reference};
-    return residual_stats_kernel(v, location, exponent, gammas, resid.data());
+    const gn::FitProblem fp{{samples.data(), nullptr, nullptr, nullptr, &all, 1,
+                             samples.size(), gn::KernelMode::scalar_reference},
+                            exponent, 1, gamma_dbm, gamma_dbm};
+    return gn::stats(fp, gn::moments(fp, location, gammas, resid.data()), resid.data());
 }
 
 std::pair<double, double> exponent_band_for(channel::PropagationClass cls) {
@@ -213,41 +44,21 @@ bool LocationSolver::evaluate_grid_point(SolverWorkspace& ws,
                                          bool warm,
                                          SolverWorkspace::CandidateSlot& slot) const {
     const double exponent = gp.n;
-    const SampleView v{samples,          ws.soa_p.data(), ws.soa_q.data(),
-                       ws.soa_rssi.data(), ws.runs.data(),  ws.runs.size(),
-                       count,            cfg_.kernel_mode};
+    const gn::FitProblem fp{{samples, ws.soa_p.data(), ws.soa_q.data(), ws.soa_rssi.data(),
+                             ws.runs.data(), ws.runs.size(), count, cfg_.kernel_mode},
+                            exponent, k, gamma_min, gamma_max};
 
-    // Plausibility screen: discard non-physical attempts so a noise-
-    // favoured exponent cannot launch the target outside radio range.
-    const auto plausible = [&](const locble::Vec2& loc, const double* gammas) {
-        if (loc.norm() > cfg_.max_range_m) return false;
-        for (std::size_t s = 0; s < k; ++s)
-            if (gammas[s] < gamma_min - 1e-9 || gammas[s] > gamma_max + 1e-9)
-                return false;
-        return true;
+    double* const gammas = ws.gam_cur.data();
+    const auto refine_full = [&](locble::Vec2& loc) {
+        if (!cfg_.use_gn_refinement) return;
+        gn::RefineProgress progress;
+        gn::refine(ws.jtj.data(), ws.jtr.data(), ws.delta.data(), fp, loc, gammas,
+                   progress, gn::kMaxSweeps);
     };
 
-    // Gather refined attempts and keep the best *plausible* one.
-    double best_rms = 1e300;
+    // The winner: its location and stats, its gammas in gam_best.
     locble::Vec2 best_loc;
     ResidualStats best_stats;
-    const auto consider = [&](locble::Vec2 loc, double gamma_seed) {
-        init_segment_gammas(ws.gam_sum.data(), ws.gam_cnt.data(), v, loc, exponent,
-                            gamma_seed, k, gamma_min, gamma_max, ws.gam_cur.data());
-        if (cfg_.use_gn_refinement)
-            refine_fit_db(ws.jtj.data(), ws.jtr.data(), ws.delta.data(), v, exponent,
-                          loc, ws.gam_cur.data(), k, gamma_min, gamma_max);
-        if (!plausible(loc, ws.gam_cur.data())) return;
-        const ResidualStats st = residual_stats_kernel(v, loc, exponent,
-                                                       ws.gam_cur.data(), ws.resid.data());
-        if (st.rms_db < best_rms) {
-            best_rms = st.rms_db;
-            best_loc = loc;
-            best_stats = st;
-            std::copy_n(ws.gam_cur.data(), k, ws.gam_best.data());
-        }
-    };
-
     bool used_multistart = false;
     if (warm) {
         // Warm start (coarse_to_fine sessions): Gauss-Newton seeded from
@@ -260,17 +71,14 @@ bool LocationSolver::evaluate_grid_point(SolverWorkspace& ws,
             const double g = s < have ? gp.warm_gammas[s]
                                       : (have > 0 ? gp.warm_gammas[have - 1]
                                                   : 0.5 * (gamma_min + gamma_max));
-            ws.gam_cur[s] = std::clamp(g, gamma_min, gamma_max);
+            gammas[s] = std::clamp(g, gamma_min, gamma_max);
         }
-        if (cfg_.use_gn_refinement)
-            refine_fit_db(ws.jtj.data(), ws.jtr.data(), ws.delta.data(), v, exponent,
-                          loc, ws.gam_cur.data(), k, gamma_min, gamma_max);
-        if (!plausible(loc, ws.gam_cur.data())) return false;
-        best_stats = residual_stats_kernel(v, loc, exponent, ws.gam_cur.data(),
-                                           ws.resid.data());
-        best_rms = best_stats.rms_db;
+        refine_full(loc);
+        if (!gn::plausible(fp, loc, gammas, cfg_.max_range_m)) return false;
+        best_stats = gn::stats(fp, gn::moments(fp, loc, gammas, ws.resid.data()),
+                               ws.resid.data());
         best_loc = loc;
-        std::copy_n(ws.gam_cur.data(), k, ws.gam_best.data());
+        std::copy_n(gammas, k, ws.gam_best.data());
     } else {
         // --- Catch up this grid point's cached rho powers (the only
         // exponent-dependent per-sample quantity) on samples added since
@@ -365,32 +173,44 @@ bool LocationSolver::evaluate_grid_point(SolverWorkspace& ws,
         // excitation makes the linear system lose the sign of A) or when
         // its refinement ran away.
         double gamma_seed = 0.5 * (gamma_min + gamma_max);
+        bool found = false;
         if (linear_seed_ok) {
             const double a = ws.beta[0];
             const double eps = 1.0 / a;
             gamma_seed =
                 std::clamp(5.0 * exponent * std::log10(eps), gamma_min, gamma_max);
-            if (lateral_ok) {
-                consider({ws.beta[1] / (2.0 * a), ws.beta[2] / (2.0 * a)}, gamma_seed);
-            } else {
-                const double x0 = ws.beta[1] / (2.0 * a);
-                const double g = ws.beta[2];
-                const double h2 = g * eps - x0 * x0;
-                consider({x0, std::sqrt(std::max(h2, 0.0))}, gamma_seed);
+            const double x0 = ws.beta[1] / (2.0 * a);
+            locble::Vec2 loc{x0, lateral_ok
+                                     ? ws.beta[2] / (2.0 * a)
+                                     : std::sqrt(std::max(ws.beta[2] * eps - x0 * x0, 0.0))};
+            gn::init_segment_gammas(ws.gam_sum.data(), ws.gam_cnt.data(), fp, loc,
+                                    gamma_seed, gammas);
+            refine_full(loc);
+            if (gn::plausible(fp, loc, gammas, cfg_.max_range_m)) {
+                const gn::Moments mo = gn::moments(fp, loc, gammas, ws.resid.data());
+                if (mo.rms(count) < 1e300) {
+                    found = true;
+                    best_loc = loc;
+                    best_stats = gn::stats(fp, mo, ws.resid.data());
+                    std::copy_n(gammas, k, ws.gam_best.data());
+                }
             }
         }
-        if (best_rms >= 1e300) {
+        if (!found) {
             used_multistart = true;
             const double d0 = std::clamp(
                 std::pow(10.0, (gamma_seed - mean_rssi) / (10.0 * exponent)), 0.5,
                 cfg_.max_range_m);
-            constexpr int kBearings = 8;
-            for (int b = 0; b < kBearings; ++b) {
-                const double angle = 2.0 * std::numbers::pi * b / kBearings;
-                consider(locble::unit_from_angle(angle) * d0, gamma_seed);
-            }
+            const gn::FanResult fan = gn::multistart_fan(
+                fp,
+                {ws.jtj.data(), ws.jtr.data(), ws.delta.data(), ws.gam_sum.data(),
+                 ws.gam_cnt.data(), ws.fan_gammas.data(), ws.resid.data(),
+                 ws.resid_spare.data(), ws.gam_best.data()},
+                d0, gamma_seed, cfg_.max_range_m, cfg_.use_gn_refinement);
+            if (!fan.ok) return false;
+            best_loc = fan.loc;
+            best_stats = fan.stats;
         }
-        if (best_rms >= 1e300) return false;
     }
 
     slot.exponent = exponent;
@@ -400,14 +220,13 @@ bool LocationSolver::evaluate_grid_point(SolverWorkspace& ws,
     slot.multistart = used_multistart;
     if (slot.ambiguous) slot.loc.y = std::abs(slot.loc.y);
 
-    // The winning consider() already evaluated the residuals at this exact
-    // (loc, gammas); recompute only when the ambiguity convention actually
-    // moved the location.
+    // The winner's stats were taken at this exact (loc, gammas); recompute
+    // only when the ambiguity convention actually moved the location.
     const ResidualStats stats =
         slot.loc.y == best_loc.y
             ? best_stats
-            : residual_stats_kernel(v, slot.loc, exponent, ws.gam_best.data(),
-                                    ws.resid.data());
+            : gn::stats(fp, gn::moments(fp, slot.loc, ws.gam_best.data(), ws.resid.data()),
+                        ws.resid.data());
     slot.score = stats.rms_db;
     slot.residual_db = stats.rms_db;
     slot.confidence = stats.confidence;
@@ -573,6 +392,8 @@ bool LocationSolver::solve_impl(const FusedSample* samples, std::size_t count,
     ws.ensure_size(ws.gam_cnt, k);
     ws.ensure_size(ws.best_gammas, k);
     ws.ensure_size(ws.resid, count);
+    ws.ensure_size(ws.resid_spare, count);
+    ws.ensure_size(ws.fan_gammas, static_cast<std::size_t>(gn::kFanBearings) * k);
     ws.ensure_size(ws.evaluated, grid_size);
     std::fill(ws.evaluated.begin(), ws.evaluated.end(), std::uint8_t{0});
     ws.candidates.clear();
@@ -696,11 +517,13 @@ bool LocationSolver::solve_impl(const FusedSample* samples, std::size_t count,
     if (weight_acc > 0.0) {
         out.location = loc_acc / weight_acc;
         out.exponent = n_acc / weight_acc;
-        const SampleView v{samples,          ws.soa_p.data(), ws.soa_q.data(),
-                           ws.soa_rssi.data(), ws.runs.data(),  ws.runs.size(),
-                           count,            cfg_.kernel_mode};
-        const ResidualStats stats = residual_stats_kernel(
-            v, out.location, out.exponent, ws.best_gammas.data(), ws.resid.data());
+        const gn::FitProblem fp{{samples, ws.soa_p.data(), ws.soa_q.data(),
+                                 ws.soa_rssi.data(), ws.runs.data(), ws.runs.size(), count,
+                                 cfg_.kernel_mode},
+                                out.exponent, k, gamma_min, gamma_max};
+        const ResidualStats stats = gn::stats(
+            fp, gn::moments(fp, out.location, ws.best_gammas.data(), ws.resid.data()),
+            ws.resid.data());
         out.residual_db = stats.rms_db;
         out.confidence = stats.confidence;
     }

@@ -231,7 +231,11 @@ private:
     std::vector<double> jtj, jtr, delta;
     std::vector<double> gam_cur, gam_best, gam_sum;
     std::vector<std::size_t> gam_cnt;
-    std::vector<double> resid;
+    std::vector<double> resid, resid_spare;
+    // The multistart fan's per-bearing Gammas (8 x segment count,
+    // bearing-major); each bearing's location and progress live on the
+    // fan's stack.
+    std::vector<double> fan_gammas;
 
     // Per-solve candidate set (for argmin + model averaging).
     std::vector<CandidateSlot> candidates;

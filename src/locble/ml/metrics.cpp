@@ -12,15 +12,19 @@ ClassificationReport evaluate_classification(const std::vector<int>& truth,
         throw std::invalid_argument("evaluate_classification: size mismatch");
     if (truth.empty())
         throw std::invalid_argument("evaluate_classification: empty input");
-    int k = 0;
-    for (std::size_t i = 0; i < truth.size(); ++i)
-        k = std::max({k, truth[i] + 1, predicted[i] + 1});
+    std::size_t k = 0;
+    for (std::size_t i = 0; i < truth.size(); ++i) {
+        if (truth[i] < 0 || predicted[i] < 0)
+            throw std::invalid_argument("evaluate_classification: negative label");
+        k = std::max({k, static_cast<std::size_t>(truth[i]) + 1,
+                      static_cast<std::size_t>(predicted[i]) + 1});
+    }
 
     ClassificationReport r;
     r.confusion.assign(k, std::vector<std::size_t>(k, 0));
     std::size_t correct = 0;
     for (std::size_t i = 0; i < truth.size(); ++i) {
-        r.confusion[truth[i]][predicted[i]]++;
+        r.confusion[static_cast<std::size_t>(truth[i])][static_cast<std::size_t>(predicted[i])]++;
         if (truth[i] == predicted[i]) ++correct;
     }
     r.accuracy = static_cast<double>(correct) / static_cast<double>(truth.size());
@@ -28,10 +32,10 @@ ClassificationReport evaluate_classification(const std::vector<int>& truth,
     r.precision.assign(k, 0.0);
     r.recall.assign(k, 0.0);
     r.f1.assign(k, 0.0);
-    for (int c = 0; c < k; ++c) {
+    for (std::size_t c = 0; c < k; ++c) {
         std::size_t tp = r.confusion[c][c];
         std::size_t pred_c = 0, true_c = 0;
-        for (int o = 0; o < k; ++o) {
+        for (std::size_t o = 0; o < k; ++o) {
             pred_c += r.confusion[o][c];
             true_c += r.confusion[c][o];
         }
@@ -45,9 +49,10 @@ ClassificationReport evaluate_classification(const std::vector<int>& truth,
         r.macro_recall += r.recall[c];
         r.macro_f1 += r.f1[c];
     }
-    r.macro_precision /= k;
-    r.macro_recall /= k;
-    r.macro_f1 /= k;
+    const auto classes = static_cast<double>(k);
+    r.macro_precision /= classes;
+    r.macro_recall /= classes;
+    r.macro_f1 /= classes;
     return r;
 }
 

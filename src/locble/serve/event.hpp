@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 
 #include "locble/common/vec2.hpp"
@@ -36,6 +37,15 @@ struct Event {
     double rssi_dbm{0.0};        ///< adv only
     locble::Vec2 position{};     ///< pose only (observer frame)
 };
+
+/// Whether every value the event's kind carries is finite: t always, the
+/// RSSI of an adv, the position of a pose. The service rejects any other
+/// event at submit (counted as `rejected` and `serve.ingest.invalid`).
+inline bool event_values_finite(const Event& e) {
+    if (!std::isfinite(e.t)) return false;
+    if (e.kind == EventKind::adv) return std::isfinite(e.rssi_dbm);
+    return std::isfinite(e.position.x) && std::isfinite(e.position.y);
+}
 
 /// Advertisement event shorthand.
 inline Event adv_event(ClientId client, double t, BeaconId beacon, double rssi_dbm) {

@@ -9,6 +9,16 @@ namespace locble::serve {
 
 bool Shard::enqueue(const Event& e) {
     ++ingest_stats_.submitted;
+    if (!event_values_finite(e)) {
+        // Refused before it creates a client, reaches a queue or moves the
+        // service horizon: a +inf timestamp would otherwise age every other
+        // client past the idle timeout, and a NaN RSSI would poison the
+        // session's regression.
+        ++ingest_stats_.rejected;
+        LOCBLE_COUNT("serve.ingest.rejected", 1);
+        LOCBLE_COUNT("serve.ingest.invalid", 1);
+        return false;
+    }
     auto [it, created] = ingest_.try_emplace(e.client);
     IngestQueue& q = it->second;
     if (created) {

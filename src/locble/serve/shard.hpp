@@ -88,7 +88,8 @@ public:
     /// Route one event into its client's bounded ingest buffer (creating
     /// the client on first contact). Driver thread; may overlap a running
     /// epoch — it only ever touches ingest-side state. Returns whether the
-    /// event was accepted (false only under OverflowPolicy::reject), so the
+    /// event was accepted (false for an event that fails
+    /// event_values_finite, and under OverflowPolicy::reject), so the
     /// caller can advance its horizon without reading worker-side stats.
     bool enqueue(const Event& e);
 

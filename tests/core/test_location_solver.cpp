@@ -258,8 +258,10 @@ TEST(LocationSolverTest, ConfidenceDropsWithModelMismatch) {
     auto a = l_shape_samples(target, -59.0, 2.0);
     auto b = l_shape_samples(target, -72.0, 3.4);
     // Second half from the NLOS model.
-    std::vector<FusedSample> mixed(a.begin(), a.begin() + a.size() / 2);
-    mixed.insert(mixed.end(), b.begin() + b.size() / 2, b.end());
+    const auto half_a = static_cast<std::ptrdiff_t>(a.size() / 2);
+    const auto half_b = static_cast<std::ptrdiff_t>(b.size() / 2);
+    std::vector<FusedSample> mixed(a.begin(), a.begin() + half_a);
+    mixed.insert(mixed.end(), b.begin() + half_b, b.end());
 
     const auto clean_fit = LocationSolver().solve(a);
     const auto mixed_fit = LocationSolver().solve(mixed);

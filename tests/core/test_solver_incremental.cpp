@@ -40,13 +40,14 @@ std::vector<std::vector<FusedSample>> batched_walk(const Vec2& target, double ga
     for (int i = 0; i < per_leg; ++i, t += 0.1)
         add({4.0, 3.0 * i / (per_leg - 1.0)}, t);
 
-    std::vector<std::vector<FusedSample>> out(batches);
-    const std::size_t per_batch = (all.size() + batches - 1) / batches;
+    const auto nb = static_cast<std::size_t>(batches);
+    std::vector<std::vector<FusedSample>> out(nb);
+    const std::size_t per_batch = (all.size() + nb - 1) / nb;
     for (std::size_t i = 0; i < all.size(); ++i) {
         const int b = static_cast<int>(i / per_batch);
         if (segment_switch_batch >= 0 && b >= segment_switch_batch)
             all[i].segment = 1;
-        out[b].push_back(all[i]);
+        out[i / per_batch].push_back(all[i]);
     }
     return out;
 }

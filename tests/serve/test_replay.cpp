@@ -13,8 +13,10 @@
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "locble/serve/event.hpp"
@@ -40,7 +42,7 @@ TrackingService::Config service_config(unsigned shards, unsigned threads) {
     return cfg;
 }
 
-sim::MultiClientConfig workload_config(unsigned clients, unsigned beacons) {
+sim::MultiClientConfig workload_config(int clients, int beacons) {
     sim::MultiClientConfig wcfg;
     wcfg.clients = clients;
     wcfg.beacons = beacons;
@@ -165,6 +167,58 @@ TEST(WireReplayTest, SynthesizedWorkloadLogReplaysDeterministically) {
     EXPECT_EQ(stats1.epochs, log.epochs);
     EXPECT_EQ(stats8.events, log.events);
     EXPECT_EQ(stats8.epochs, log.epochs);
+}
+
+/// Events carrying a non-finite value are rejected at submit. The tap
+/// records them before admission, so a replay re-enacts every rejection,
+/// and neither the rejects nor anything else depends on the shard count.
+TEST(WireReplayTest, InvalidEventsReplayWithTheSameRejects) {
+    const auto wl = sim::make_multi_client_workload(workload_config(16, 4), 23);
+    ASSERT_GT(wl.events.size(), 400u);
+    // Four invalid events, each slotted in next to a clean one of the same
+    // client and submitted in that event's epoch.
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const std::size_t n = wl.events.size();
+    const std::vector<std::pair<std::size_t, Event>> invalid = {
+        {n / 5, adv_event(wl.events[n / 5].client, wl.events[n / 5].t, 1, nan)},
+        {2 * n / 5, adv_event(wl.events[2 * n / 5].client, inf, 1, -60.0)},
+        {3 * n / 5, pose_event(wl.events[3 * n / 5].client, wl.events[3 * n / 5].t,
+                               {nan, 1.0})},
+        {4 * n / 5, pose_event(wl.events[4 * n / 5].client, -inf, {1.0, 2.0})},
+    };
+
+    // Live run at 2 shards with the recorder attached.
+    TrackingService live(service_config(2, 2));
+    LogRecorder rec;
+    live.set_ingest_tap(&rec);
+    std::string live_stream;
+    std::size_t i = 0, next_bad = 0;
+    for (double edge = 4.0; i < n; edge += 4.0) {
+        for (; i < n && wl.events[i].t <= edge; ++i) {
+            if (next_bad < invalid.size() && invalid[next_bad].first == i)
+                live.submit(invalid[next_bad++].second);
+            live.submit(wl.events[i]);
+        }
+        live.run_epoch();
+        live_stream += observe(live);
+    }
+    live.set_ingest_tap(nullptr);
+    ASSERT_EQ(next_bad, invalid.size());
+    EXPECT_EQ(live.snapshot().stats.rejected, invalid.size());
+    const std::string log = rec.finish();
+
+    for (const unsigned shards : {1u, 8u}) {
+        TrackingService svc(service_config(shards, shards));
+        ReplayDriver driver(svc, log);
+        std::string stream;
+        while (driver.step_epoch()) stream += observe(svc);
+        EXPECT_EQ(stream, live_stream) << "shards " << shards;
+        const IngestStats st = svc.snapshot().stats;
+        EXPECT_EQ(st.rejected, invalid.size()) << "shards " << shards;
+        EXPECT_EQ(st.submitted, n + invalid.size()) << "shards " << shards;
+        EXPECT_EQ(st.accepted, n) << "shards " << shards;
+    }
 }
 
 TEST(WireReplayTest, DriverRejectsNonEventLogStreams) {

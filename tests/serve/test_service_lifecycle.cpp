@@ -98,21 +98,29 @@ TEST(ServeLifecycleTest, SessionsPersistAcrossEpochsUntilIdle) {
     EXPECT_TRUE(snap.estimates[0].has_fit);
 }
 
-/// An L-walk (+x for 8 s, then +y for 8 s, 1 m/s, 10 Hz) past a beacon at
-/// (8, 4) with an epoch every 2 s, then one advertisement at `t_bad`. The
-/// batch clock must step over that gap in bounded time.
-void expect_epoch_survives_timestamp(double t_bad) {
-    TrackingService svc(base_config());
+/// One client on an L-walk (+x for 8 s, then +y for 8 s, 1 m/s, 10 Hz)
+/// past a beacon at (8, 4), with an epoch every 2 s. `rssi_of(i, clean)`
+/// gives the RSSI of sample i's advertisement from its clean value.
+template <class RssiOf>
+void submit_l_walk(TrackingService& svc, ClientId client, RssiOf rssi_of) {
     for (int i = 0; i <= 160; ++i) {
         const double t = 0.1 * i;
         const locble::Vec2 p = t <= 8.0 ? locble::Vec2{t, 0.0}
                                         : locble::Vec2{8.0, t - 8.0};
-        svc.submit(pose_event(1, t, p));
+        svc.submit(pose_event(client, t, p));
         const double dist = std::max(std::hypot(8.0 - p.x, 4.0 - p.y), 0.1);
-        svc.submit(adv_event(1, t, 42, -59.0 - 20.0 * std::log10(dist)));
+        svc.submit(adv_event(client, t, 42, rssi_of(i, -59.0 - 20.0 * std::log10(dist))));
         if (i % 20 == 0) svc.run_epoch();
     }
     svc.run_epoch();
+}
+
+/// The L-walk, then one advertisement at `t_bad`. The batch clock must step
+/// over that gap in bounded time; a non-finite `t_bad` is rejected at
+/// submit and never reaches the session.
+void expect_epoch_survives_timestamp(double t_bad) {
+    TrackingService svc(base_config());
+    submit_l_walk(svc, 1, [](int, double clean) { return clean; });
     ASSERT_TRUE(svc.snapshot().estimates.at(0).has_fit);
 
     svc.submit(adv_event(1, t_bad, 42, -60.0));
@@ -121,7 +129,9 @@ void expect_epoch_survives_timestamp(double t_bad) {
     svc.run_epoch();
     const auto snap = svc.snapshot(SnapshotMode::full);
     ASSERT_EQ(snap.estimates.size(), 1u);
-    EXPECT_EQ(snap.estimates[0].samples_seen, 163u);
+    const bool finite = std::isfinite(t_bad);
+    EXPECT_EQ(snap.estimates[0].samples_seen, finite ? 163u : 162u);
+    EXPECT_EQ(snap.stats.rejected, finite ? 0u : 1u);
 }
 
 TEST(ServeLifecycleTest, FarFutureTimestampDoesNotHangTheEpoch) {
@@ -130,6 +140,56 @@ TEST(ServeLifecycleTest, FarFutureTimestampDoesNotHangTheEpoch) {
 
 TEST(ServeLifecycleTest, InfiniteTimestampDoesNotHangTheEpoch) {
     expect_epoch_survives_timestamp(std::numeric_limits<double>::infinity());
+}
+
+TEST(ServeLifecycleTest, InfiniteTimestampDoesNotEvictCleanClients) {
+    // Three clients over two shards; client 1 then sends one adv at
+    // t = +inf in the same epoch as the others' fresh events. Accepted,
+    // it would make the service horizon +inf and age both clean clients
+    // past the idle timeout at the next swap.
+    TrackingService svc(base_config());
+    for (const ClientId c : {1u, 2u, 3u}) submit_walk(svc, c, 0.0, 8.0);
+    svc.run_epoch();
+    svc.submit(adv_event(1, std::numeric_limits<double>::infinity(), 42, -60.0));
+    for (const ClientId c : {2u, 3u}) submit_walk(svc, c, 8.1, 2.0);
+    svc.run_epoch();
+    for (const ClientId c : {1u, 2u, 3u}) submit_walk(svc, c, 10.2, 2.0);
+    svc.run_epoch();
+
+    const auto snap = svc.snapshot(SnapshotMode::full);
+    EXPECT_EQ(snap.estimates.size(), 3u);
+    EXPECT_EQ(snap.stats.clients_evicted, 0u);
+    EXPECT_EQ(snap.stats.sessions_evicted, 0u);
+    EXPECT_EQ(snap.stats.rejected, 1u);
+    EXPECT_EQ(snap.stats.submitted, snap.stats.accepted + snap.stats.rejected);
+}
+
+TEST(ServeLifecycleTest, NanRssiDoesNotFreezeTheSession) {
+    // A NaN RSSI at sample 30 used to fail every grid point of the session
+    // for good (samples_used stuck at 20). Rejected at submit, the run
+    // equals one that never sent that advertisement.
+    const auto run = [](bool send_nan) {
+        TrackingService svc(base_config());
+        submit_l_walk(svc, 1, [&](int i, double clean) {
+            return i == 30 && send_nan ? std::numeric_limits<double>::quiet_NaN() : clean;
+        });
+        return svc.snapshot(SnapshotMode::full);
+    };
+    const auto poisoned = run(true);
+    const auto clean = run(false);
+    ASSERT_EQ(poisoned.estimates.size(), 1u);
+    ASSERT_EQ(clean.estimates.size(), 1u);
+    const BeaconEstimate& p = poisoned.estimates[0];
+    const BeaconEstimate& c = clean.estimates[0];
+    EXPECT_EQ(poisoned.stats.rejected, 1u);
+    EXPECT_EQ(clean.stats.rejected, 0u);
+    EXPECT_EQ(p.samples_seen + 1, c.samples_seen);
+    EXPECT_GT(p.samples_used, 100u);
+    ASSERT_TRUE(p.has_fit);
+    ASSERT_TRUE(c.has_fit);
+    EXPECT_LT(std::hypot(p.fit.location.x - c.fit.location.x,
+                         p.fit.location.y - c.fit.location.y),
+              0.5);
 }
 
 TEST(ServeLifecycleTest, ResetOnEnvChangeRestartsTheRegression) {
