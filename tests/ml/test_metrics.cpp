@@ -52,6 +52,11 @@ TEST(MetricsTest, SizeMismatchThrows) {
     EXPECT_THROW(evaluate_classification({}, {}), std::invalid_argument);
 }
 
+TEST(MetricsTest, NegativeLabelThrows) {
+    EXPECT_THROW(evaluate_classification({0, -1}, {0, 1}), std::invalid_argument);
+    EXPECT_THROW(evaluate_classification({0, 1}, {-1, 1}), std::invalid_argument);
+}
+
 TEST(MetricsTest, ReportStringContainsNames) {
     const std::vector<int> y{0, 1, 0, 1};
     const auto r = evaluate_classification(y, y);
